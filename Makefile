@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test fuzz-replay race fuzz faults cover bench bench-seed bench-pr2 bench-pr3 bench-pr6 bench-pr7 bench-pr8 bench-pr9
+.PHONY: ci vet lint build test fuzz-replay race fuzz faults cover bench bench-smoke
 
-ci: vet lint build test race faults cover
+ci: vet lint build test race faults cover bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -67,56 +67,22 @@ faults:
 cover:
 	sh scripts/cover.sh
 
-# Regenerate the committed metrics baseline (see EXPERIMENTS.md).
-bench-seed:
-	$(GO) run ./cmd/x3bench -figure fig4 -scale 0.002 -axes 2,3 -quiet -metrics BENCH_seed.json
+# The benchmark (bench/, its own module, contract in BENCHMARK.json) is
+# never compiled by build/test; this leg builds it and runs every workload
+# once on a tiny corpus, oracle checks included, so it cannot rot unseen.
+# Build and run outputs land in .bench_build/ and bench/out/ (ignored).
+bench-smoke:
+	bash bench/run.sh -smoke --seconds 1
 
-# Regenerate the committed parallel-scaling snapshot (see EXPERIMENTS.md):
-# the DBLP figure across a worker sweep, serial baselines (TD, BUC,
-# COUNTER) next to the parallel engines (TDPAR, BUCPAR). The
-# harness.run.*.w<N>.ns keys carry the wall-clock comparison.
-bench-pr2:
-	$(GO) run ./cmd/x3bench -figure fig10 -scale 0.05 -algorithms COUNTER,TD,BUC,TDPAR,BUCPAR -workers 1,2,4,8 -quiet -metrics BENCH_pr2.json
-
-# Regenerate the committed serve-latency snapshot (see EXPERIMENTS.md):
-# a full-lattice sweep of cuboid queries over the DBLP cube, answered by
-# a cold v1 full scan, the v2 indexed store, and the warm block cache.
-bench-pr3:
-	$(GO) run ./cmd/x3serve -bench -scale 2000 -metrics BENCH_pr3.json
-
-# Regenerate the committed incremental-maintenance snapshot (see
-# EXPERIMENTS.md): WAL-durable append latency, full-lattice query sweeps
-# at 0/1/4/16 outstanding delta generations, and the cost of compacting
-# the ladder back to one base file.
-bench-pr6:
-	$(GO) run ./cmd/x3serve -bench-pr6 -scale 2000 -metrics BENCH_pr6.json
-
-# Regenerate the committed columnar-format snapshot (see EXPERIMENTS.md):
-# v3 vs v4 bytes/cell on the same cube, indexed and warm-cache query
-# sweeps, ladder sweeps at 0/8/16 v4 delta generations, and full vs
-# 50%-budget build times.
-bench-pr7:
-	$(GO) run ./cmd/x3serve -bench-pr7 -scale 2000 -metrics BENCH_pr7.json
-
-# Regenerate the committed sustained-load snapshot (see EXPERIMENTS.md):
-# the open-loop x3load sweep — three arrival rates x two query mixes over
-# eight tenants with one tenant pushing past its quota — with in-quota
-# HDR latency quantiles, over-quota 429 counts, and the SLO verdict.
-bench-pr8:
-	$(GO) run ./cmd/x3load -bench-pr8 -scale 200 -metrics BENCH_pr8.json
-
-# Regenerate the committed sharded-failure snapshot (see EXPERIMENTS.md):
-# the x3load sweep over shard count x injected replica failures —
-# failover must keep answers exact within the latency SLO, and
-# whole-shard loss must degrade to honestly labelled partial answers.
-bench-pr9:
-	$(GO) run ./cmd/x3load -bench-pr9 -scale 200 -metrics BENCH_pr9.json
-
-# Regression gates: re-run the sustained-load and sharded-failure sweeps
-# and fail if any scenario that passed in the committed baselines
-# violates its SLO or partial-honesty expectation now. Fresh runs land
-# in /tmp so the committed baselines are only updated deliberately via
-# bench-pr8 / bench-pr9.
+# The performance gate: three untraced runs of all five workloads, then
+# one row per workload x end-to-end metric against the committed
+# calibration set, "workload metric verdict ...". A verdict is `worse`
+# (median worse than the base's by more than the BENCHMARK.json bound),
+# `better`, `unresolved`, or the two words `no worse` — so the check is
+# on the third field being exactly "worse", not a grep for the substring.
+# -compare itself exits 0 whatever the verdicts; the awk line prints the
+# table and is the gate.
 bench:
-	$(GO) run ./cmd/x3load -bench-pr8 -scale 200 -baseline BENCH_pr8.json -metrics /tmp/BENCH_pr8.current.json
-	$(GO) run ./cmd/x3load -bench-pr9 -scale 200 -baseline BENCH_pr9.json -metrics /tmp/BENCH_pr9.current.json
+	bash bench/run.sh -calibrate 3 -out .bench_build/current.json
+	bash bench/run.sh -compare bench/calibration/seed1-a.json .bench_build/current.json >.bench_build/compare.txt
+	@awk '{ print } $$3 == "worse" { bad = 1 } END { exit bad }' .bench_build/compare.txt

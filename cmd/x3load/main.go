@@ -10,18 +10,10 @@
 //	x3load -rate 600 -duration 5s -mix point=0.6,slice=0.3,rollup=0.1
 //	x3load -rate 1200 -tenants 8 -hot-share 0.4 -tenant-rate 150
 //	x3load -url http://127.0.0.1:8733 -rate 300 -duration 10s
-//	x3load -bench-pr8 -scale 200 -metrics BENCH_pr8.json
-//	x3load -bench-pr8 -baseline BENCH_pr8.json   # SLO regression gate
-//	x3load -bench-pr9 -scale 200 -metrics BENCH_pr9.json
+//	x3load -url http://127.0.0.1:8733 -rate 60 -backoff429 3 -backoff-cap 100ms
 //
-// A single run prints a JSON Report (throughput, per-tenant outcome
-// counts, HDR latency quantiles). -bench-pr8 sweeps arrival rates and
-// query mixes, evaluates the latency SLO on the in-quota tenant
-// population, verifies the over-quota tenant is demonstrably shed with
-// 429s, and writes the BENCH_pr8.json artifact `make bench` gates on.
-// -bench-pr9 sweeps shard count crossed with injected replica failures
-// against the sharded coordinator, gating that failover keeps answers
-// exact and whole-shard loss degrades to honestly labelled partials.
+// A run prints a JSON Report (throughput, per-tenant outcome counts, HDR
+// latency quantiles) to stdout, or to the -metrics file.
 // With -url and -backoff429 N the HTTP target retries 429s after the
 // server's Retry-After hint (jittered), counting the absorbed pressure
 // in load.backoff and per-tenant backoffs.
@@ -67,27 +59,9 @@ func main() {
 		tenantRate  = flag.Float64("tenant-rate", 0, "in-process admission: per-tenant quota in req/s (0 disables)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "in-process admission: per-tenant burst (0 = one second of quota)")
 
-		benchPR8 = flag.Bool("bench-pr8", false, "run the full rate x mix sweep with the SLO gate and exit")
-		benchPR9 = flag.Bool("bench-pr9", false, "run the sharded failure sweep (latency vs shard count x injected replica failures) and exit")
-		metrics  = flag.String("metrics", "", "write the report/artifact JSON here (default stdout)")
-		baseline = flag.String("baseline", "", "bench-pr8/-pr9: compare against this baseline artifact and fail on regressions")
+		metrics = flag.String("metrics", "", "write the report JSON here (default stdout)")
 	)
 	flag.Parse()
-
-	if *benchPR8 {
-		cfg := defaultPR8Config(*scale, *seed)
-		if err := runBenchPR8(cfg, *metrics, *baseline); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchPR9 {
-		cfg := defaultPR9Config(*scale, *seed)
-		if err := runBenchPR9(cfg, *metrics, *baseline); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	mix, err := load.ParseMix(*mixSpec)
 	if err != nil {

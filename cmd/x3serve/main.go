@@ -9,8 +9,7 @@
 //	x3serve -xml dblp.xml -queryfile q.xq -views 5 -cells cube.x3ci
 //	x3serve -xml dblp.xml -queryfile q.xq -store /var/lib/x3/dblp
 //	x3serve -xml dblp.xml -queryfile q.xq -store /var/lib/x3/dblp -shards 4 -replicas 2
-//	x3serve -bench -scale 200 -metrics BENCH_pr3.json
-//	x3serve -bench-pr6 -scale 200 -metrics BENCH_pr6.json
+//	x3serve -xml dblp.xml -queryfile q.xq -space-budget 65536 -cache-bytes 1048576
 //
 // With -store DIR the cube lives as a delta-ladder store: a manifest of
 // generation cell files plus a write-ahead log. Appends are fsynced to
@@ -89,13 +88,7 @@ func main() {
 		flushN   = flag.Int("flush-cells", 0, "memtable cells that trigger an automatic flush (0 = default, negative = manual only)")
 		compactN = flag.Int("compact-after", 0, "outstanding deltas that trigger background compaction (0 = default, negative = manual only)")
 		addr     = flag.String("addr", ":8733", "HTTP listen address")
-		cache    = flag.Int("cache", 64, "LRU block cache size in nominal blocks (negative disables)")
-		cacheB   = flag.Int64("cache-bytes", 0, "LRU block cache budget in encoded block bytes (0 = use -cache)")
-		bench    = flag.Bool("bench", false, "run the serve-latency benchmark (cold scan vs indexed vs cached) and exit")
-		benchPR6 = flag.Bool("bench-pr6", false, "run the incremental-maintenance benchmark (append throughput, delta-ladder query latency, compaction) and exit")
-		benchPR7 = flag.Bool("bench-pr7", false, "run the columnar-format benchmark (v3 vs v4 bytes/cell, cached/indexed/ladder latency, budgeted build) and exit")
-		scale    = flag.Int("scale", 200, "benchmark dataset size in DBLP articles")
-		metrics  = flag.String("metrics", "", "write metrics as JSON here")
+		cacheB   = flag.Int64("cache-bytes", 0, "LRU block cache budget in encoded block bytes (0 = default 1 MiB, negative disables)")
 
 		maxInFlight     = flag.Int("max-inflight", 64, "max concurrently executing requests; excess load is shed with 503 (0 disables)")
 		backgroundMax   = flag.Int("background-max", 0, "max concurrently executing background requests (/append, /refresh); 0 = half of -max-inflight, negative = uncapped")
@@ -109,25 +102,6 @@ func main() {
 	flag.Parse()
 
 	reg := obs.New()
-	if *bench {
-		if err := runBench(*scale, *metrics, reg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchPR6 {
-		if err := runBenchPR6(*scale, *metrics, reg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchPR7 {
-		if err := runBenchPR7(*scale, *metrics, reg); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	lat, set, props, err := buildInputs(*xmlPath, *queryText, *queryFile, *dtdFile)
 	if err != nil {
 		log.Fatal(err)
@@ -136,7 +110,6 @@ func main() {
 		Algorithm:    *algorithm,
 		Views:        *views,
 		SpaceBudget:  *budget,
-		CacheBlocks:  *cache,
 		CacheBytes:   *cacheB,
 		Props:        props,
 		Registry:     reg,
@@ -266,7 +239,7 @@ type backend interface {
 // buildInputs parses the document and query and evaluates the match phase.
 func buildInputs(xmlPath, queryText, queryFile, dtdFile string) (*lattice.Lattice, *match.Set, cube.Props, error) {
 	if xmlPath == "" {
-		return nil, nil, nil, fmt.Errorf("need -xml (or -bench)")
+		return nil, nil, nil, fmt.Errorf("need -xml")
 	}
 	qt := queryText
 	if queryFile != "" {

@@ -89,7 +89,7 @@ func TestCubeToIndexedFile(t *testing.T) {
 	if viaCuboids != cells {
 		t.Fatalf("cuboid slices yield %d cells, wrote %d", viaCuboids, cells)
 	}
-	// The version-dispatching Each reads v2 files transparently.
+	// The version-dispatching Each reads indexed files transparently.
 	var viaEach int64
 	if err := cellfile.Each(path, func(cellfile.Cell) error { viaEach++; return nil }); err != nil {
 		t.Fatal(err)

@@ -15,19 +15,18 @@ var readerGen atomic.Uint64
 
 func nextReaderGen() uint64 { return readerGen.Add(1) }
 
-// DefaultBlockBytes is the nominal on-disk size of one v2/v3 block
-// (DefaultBlockCells row-encoded cells); it converts the legacy
-// blocks-count cache capacity into a byte budget.
+// DefaultBlockBytes is the nominal size of DefaultBlockCells row-encoded
+// cells — the unit default cache budgets are stated in.
 const DefaultBlockBytes = 16 << 10
 
 // BlockCache is a byte-budgeted LRU over decoded index blocks. It is safe
 // for concurrent use and may be shared by any number of readers. Each
 // entry is charged its block's *encoded* length: residency is measured in
-// on-disk bytes, so a columnar v4 block that compresses 5x occupies 5x
-// less budget than its v3 twin and the same budget holds 5x more cuboids
-// — which is the point of compressing them. (The decoded cells the cache
-// actually holds are the same size either way; the budget prices what the
-// compression saved, not Go heap bytes.)
+// on-disk bytes, so a columnar block that compresses 5x occupies 5x less
+// budget than its row-wise encoding would and the same budget holds 5x
+// more cuboids — which is the point of compressing them. (The decoded
+// cells the cache actually holds are the same size either way; the budget
+// prices what the compression saved, not Go heap bytes.)
 type BlockCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -46,16 +45,6 @@ type blockEntry struct {
 	key   blockKey
 	cells []Cell
 	cost  int64
-}
-
-// NewBlockCache returns a cache budgeted for roughly capacity uncompressed
-// blocks (capacity × DefaultBlockBytes). Compatibility constructor: new
-// call sites should size in bytes with NewBlockCacheBytes.
-func NewBlockCache(capacity int) *BlockCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return NewBlockCacheBytes(int64(capacity) * DefaultBlockBytes)
 }
 
 // NewBlockCacheBytes returns a cache that evicts least-recently-used

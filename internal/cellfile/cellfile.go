@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"x3/internal/agg"
@@ -131,21 +132,21 @@ func Each(path string, fn func(Cell) error) error {
 	r := bufio.NewReaderSize(f, 1<<16)
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return fmt.Errorf("cellfile: %s: %w", path, err)
+		return readErr(path, "magic", err)
 	}
 	if m != magic {
 		return fmt.Errorf("%w: %s is not a cell file", ErrCorrupt, path)
 	}
 	ver, err := r.ReadByte()
 	if err != nil {
-		return err
+		return readErr(path, "version", err)
 	}
 	switch ver {
 	case version:
 		// the streaming v1 format, handled below
-	case indexedVersion, indexedVersionCRC, indexedVersionCol:
-		// the indexed v2/v3/v4 formats: delegate to the indexed reader,
-		// which knows where the data section ends and the index begins.
+	case indexedVersionCol:
+		// the indexed format: delegate to the indexed reader, which knows
+		// where the data section ends and the index begins.
 		ir, err := OpenIndexed(path)
 		if err != nil {
 			return err
@@ -186,11 +187,11 @@ func Each(path string, fn func(Cell) error) error {
 		}
 		point, err := binary.ReadUvarint(r)
 		if err != nil {
-			return err
+			return readErr(path, fmt.Sprintf("cell %d point", count), err)
 		}
 		klen, err := binary.ReadUvarint(r)
 		if err != nil {
-			return err
+			return readErr(path, fmt.Sprintf("cell %d key length", count), err)
 		}
 		if klen > 1<<16 {
 			return fmt.Errorf("%w: %s: implausible key length %d", ErrCorrupt, path, klen)
@@ -199,7 +200,7 @@ func Each(path string, fn func(Cell) error) error {
 		for i := range c.Key {
 			v, err := binary.ReadUvarint(r)
 			if err != nil {
-				return err
+				return readErr(path, fmt.Sprintf("cell %d key", count), err)
 			}
 			c.Key[i] = match.ValueID(v)
 		}
@@ -213,4 +214,18 @@ func Each(path string, fn func(Cell) error) error {
 			return err
 		}
 	}
+}
+
+// readErr classifies a failed read of the v1 stream: running out of bytes
+// is truncation, an OS error stays itself, and what remains — an overlong
+// varint — is corruption.
+func readErr(path, what string, err error) error {
+	var osErr *fs.PathError
+	switch {
+	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("%w: %s: %s: %w", ErrTruncated, path, what, err)
+	case errors.As(err, &osErr):
+		return fmt.Errorf("cellfile: %s: %s: %w", path, what, err)
+	}
+	return fmt.Errorf("%w: %s: %s: %w", ErrCorrupt, path, what, err)
 }

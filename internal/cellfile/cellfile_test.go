@@ -1,6 +1,7 @@
 package cellfile
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -93,6 +94,9 @@ func TestRoundTripThroughAlgorithm(t *testing.T) {
 	}
 }
 
+// TestTruncationDetected cuts a valid v1 file at every byte offset: each
+// prefix must be refused, and refused with a sentinel — never a bare
+// io.EOF from whichever field the cut happened to land in.
 func TestTruncationDetected(t *testing.T) {
 	lat := makeLattice(t)
 	set := makeSet(t, lat, 50, 2)
@@ -114,11 +118,17 @@ func TestTruncationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := filepath.Join(dir, "cut.x3cf")
-	if err := os.WriteFile(cut, data[:len(data)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Each(cut, func(Cell) error { return nil }); err == nil {
-		t.Error("truncated cell file read without error")
+	for n := 0; n < len(data); n++ {
+		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := Each(cut, func(Cell) error { return nil })
+		if err == nil {
+			t.Fatalf("cell file truncated to %d of %d bytes read without error", n, len(data))
+		}
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation to %d of %d bytes: %v; want ErrTruncated/ErrCorrupt", n, len(data), err)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
-// The v4 columnar block encoding. v2/v3 store each cell as an independent
+// The v4 columnar block encoding. Storing each cell as an independent
 // row record (uvarint point, uvarint key length, key ValueIDs, 32-byte
-// aggregate state), which burns ~37 bytes per cell on data that is wildly
-// redundant: within a block the point id repeats for hundreds of cells,
-// neighbouring sorted keys share long prefixes, the same ValueIDs recur,
-// and most aggregate states are small integers dressed up as two fixed
-// 64-bit floats. v4 keeps the container (header, sparse index, cuboid
-// directory, CRC footer) identical to v3 but lays each block out
-// column-wise:
+// aggregate state — what the streaming v1 file does) burns ~37 bytes per
+// cell on data that is wildly redundant: within a block the point id
+// repeats for hundreds of cells, neighbouring sorted keys share long
+// prefixes, the same ValueIDs recur, and most aggregate states are small
+// integers dressed up as two fixed 64-bit floats. Inside the container
+// (header, sparse index, cuboid directory, CRC footer — see indexed.go)
+// each block is laid out column-wise:
 //
 //	uvarint cell count (must match the index entry)
 //	point/key-length runs, covering all cells in order:
@@ -27,7 +27,7 @@
 // allocation. Decoding must reproduce the exact agg.State bit patterns
 // that were encoded: the packed-state flags are chosen by bit-level
 // comparisons (never plain float ==, which would conflate 0 and -0), so a
-// v4 round trip is byte-equal to v3 at the answer layer.
+// round trip is byte-equal at the answer layer.
 package cellfile
 
 import (
@@ -43,8 +43,9 @@ import (
 )
 
 // minRecordLenV4 is the smallest per-cell footprint a v4 block can claim:
-// amortized, each cell costs at least one key/aggregate byte. It replaces
-// minRecordLen in the index plausibility bounds for v4 files.
+// amortized, each cell costs at least one key/aggregate byte. It bounds
+// how many cells a block of known byte length can claim, which keeps
+// corrupt counts from forcing allocations.
 const minRecordLenV4 = 2
 
 // maxBlockKeyInts bounds the total decoded key length of one block

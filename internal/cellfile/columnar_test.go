@@ -2,10 +2,8 @@ package cellfile
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"x3/internal/agg"
@@ -13,16 +11,14 @@ import (
 	"x3/internal/match"
 )
 
-// writeVersioned computes the standard test cube into an indexed sink at
-// the requested format version and returns the file path.
-func writeVersioned(t *testing.T, dir string, ver, blockCells, facts int, seed int64) string {
-	t.Helper()
+// TestColumnarCompression asserts the acceptance floor directly: the
+// columnar data section must be at least 3x smaller than the same cells
+// as row-wise records (point, key length, key, 32-byte state — the
+// encoding of the retired v3 blocks) on real cube data.
+func TestColumnarCompression(t *testing.T) {
 	lat := makeLattice(t)
-	set := makeSet(t, lat, facts, seed)
-	path := filepath.Join(dir, fmt.Sprintf("cube-v%d.x3ci", ver))
-	sink := CreateIndexed(path)
-	sink.Version = ver
-	sink.BlockCells = blockCells
+	set := makeSet(t, lat, 2000, 3)
+	sink := CreateIndexed(filepath.Join(t.TempDir(), "cube.x3ci"))
 	in := &cube.Input{Lattice: lat, Source: set, Dicts: set.Dicts}
 	if _, err := (cube.Counter{}).Run(in, sink); err != nil {
 		t.Fatal(err)
@@ -30,134 +26,30 @@ func writeVersioned(t *testing.T, dir string, ver, blockCells, facts int, seed i
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
-}
-
-// readAll collects every cell of an indexed file via fn, one of the
-// reader entry points of the compatibility matrix.
-func readAll(t *testing.T, path, via string) []Cell {
-	t.Helper()
-	var out []Cell
-	collect := func(c Cell) error {
-		k := make([]match.ValueID, len(c.Key))
-		copy(k, c.Key)
-		out = append(out, Cell{Point: c.Point, Key: k, State: c.State})
+	r, err := OpenIndexed(sink.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var rowBytes int64
+	if err := r.Each(func(c Cell) error {
+		row := putUvarint(nil, uint64(c.Point))
+		row = putUvarint(row, uint64(len(c.Key)))
+		for _, v := range c.Key {
+			row = putUvarint(row, uint64(v))
+		}
+		rowBytes += int64(len(row)) + agg.EncodedSize
 		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	switch via {
-	case "Each":
-		if err := Each(path, collect); err != nil {
-			t.Fatalf("Each(%s): %v", path, err)
-		}
-	case "Reader.Each":
-		r, err := OpenIndexed(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if err := r.Each(collect); err != nil {
-			t.Fatalf("Reader.Each(%s): %v", path, err)
-		}
-	case "EachCuboid":
-		r, err := OpenIndexed(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		for _, p := range r.Points() {
-			if err := r.EachCuboid(p, collect); err != nil {
-				t.Fatalf("EachCuboid(%s, %d): %v", path, p, err)
-			}
-		}
-	case "Iterate":
-		r, err := OpenIndexed(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		it := r.Iterate()
-		for {
-			c, err := it.Next()
-			if err != nil {
-				t.Fatalf("Iterate(%s): %v", path, err)
-			}
-			if c == nil {
-				break
-			}
-			collect(*c)
-		}
-	default:
-		t.Fatalf("unknown reader entry %q", via)
-	}
-	return out
-}
-
-// TestCrossVersionMatrix writes the same cube at every format version and
-// asserts every reader entry point returns identical cells for all of
-// them — old stores must open and serve under the new binary, and the new
-// format must not change a single answer byte.
-func TestCrossVersionMatrix(t *testing.T) {
-	dir := t.TempDir()
-	versions := []int{2, 3, 4}
-	entries := []string{"Each", "Reader.Each", "EachCuboid", "Iterate"}
-	var want []Cell
-	for _, ver := range versions {
-		path := writeVersioned(t, dir, ver, 7, 300, 2)
-		r, err := OpenIndexed(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Version() != ver {
-			t.Fatalf("wrote version %d, reader says %d", ver, r.Version())
-		}
-		r.Close()
-		for _, via := range entries {
-			got := readAll(t, path, via)
-			if want == nil {
-				want = got
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("v%d via %s: %d cells, want %d", ver, via, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Point != want[i].Point || !reflect.DeepEqual(got[i].Key, want[i].Key) {
-					t.Fatalf("v%d via %s: cell %d = %d/%v, want %d/%v",
-						ver, via, i, got[i].Point, got[i].Key, want[i].Point, want[i].Key)
-				}
-				var a, b [agg.EncodedSize]byte
-				got[i].State.Encode(a[:])
-				want[i].State.Encode(b[:])
-				if a != b {
-					t.Fatalf("v%d via %s: cell %d state %+v, want %+v (encodings differ)",
-						ver, via, i, got[i].State, want[i].State)
-				}
-			}
-		}
-	}
-}
-
-// TestColumnarCompression asserts the acceptance floor directly: the v4
-// data section must be at least 3x smaller than v3 on real cube data.
-func TestColumnarCompression(t *testing.T) {
-	dir := t.TempDir()
-	var bytesPer [5]int64
-	var cells int64
-	for _, ver := range []int{3, 4} {
-		r, err := OpenIndexed(writeVersioned(t, dir, ver, 0, 2000, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytesPer[ver] = r.DataBytes()
-		cells = r.NumCells()
-		r.Close()
-	}
-	ratio := float64(bytesPer[3]) / float64(bytesPer[4])
-	t.Logf("v3 %d bytes, v4 %d bytes over %d cells (%.2fx, %.2f→%.2f bytes/cell)",
-		bytesPer[3], bytesPer[4], cells, ratio,
-		float64(bytesPer[3])/float64(cells), float64(bytesPer[4])/float64(cells))
+	colBytes, cells := r.DataBytes(), r.NumCells()
+	ratio := float64(rowBytes) / float64(colBytes)
+	t.Logf("row-wise %d bytes, columnar %d bytes over %d cells (%.2fx, %.2f→%.2f bytes/cell)",
+		rowBytes, colBytes, cells, ratio,
+		float64(rowBytes)/float64(cells), float64(colBytes)/float64(cells))
 	if ratio < 3 {
-		t.Fatalf("v4 compresses only %.2fx vs v3, want ≥3x", ratio)
+		t.Fatalf("columnar blocks compress only %.2fx vs row-wise records, want ≥3x", ratio)
 	}
 }
 

@@ -16,12 +16,11 @@ import (
 
 // writeSmallIndexed writes a deterministic multi-block indexed file and
 // returns its path plus the cells written (sorted the way the file is).
-func writeSmallIndexed(t *testing.T, ver int, inj *fault.Injector) (string, []Cell) {
+func writeSmallIndexed(t *testing.T, inj *fault.Injector) (string, []Cell) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "small.x3ci")
 	sink := CreateIndexed(path)
 	sink.BlockCells = 8
-	sink.Version = ver
 	sink.Fault = inj
 	var s agg.State
 	s.Add(2.5)
@@ -41,50 +40,48 @@ func writeSmallIndexed(t *testing.T, ver int, inj *fault.Injector) (string, []Ce
 	return path, cells
 }
 
-func TestV2StillReadable(t *testing.T) {
-	path, cells := writeSmallIndexed(t, 2, nil)
-	r, err := OpenIndexed(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Version() != 2 {
-		t.Fatalf("wrote version 2, reader says %d", r.Version())
-	}
-	var n int
-	if err := r.Each(func(Cell) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(cells) {
-		t.Fatalf("v2 file streamed %d cells, wrote %d", n, len(cells))
-	}
-	// The version-dispatching Each handles v2 too.
-	n = 0
-	if err := Each(path, func(Cell) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(cells) {
-		t.Fatalf("Each streamed %d cells of a v2 file, wrote %d", n, len(cells))
-	}
-}
-
 func TestDefaultWriterEmitsV4(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 0, nil)
-	r, err := OpenIndexed(path)
+	path, _ := writeSmallIndexed(t, nil)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Version() != 4 {
-		t.Fatalf("default writer produced version %d, want 4", r.Version())
+	if data[4] != 4 {
+		t.Fatalf("default writer produced version %d, want 4", data[4])
 	}
 }
 
-// TestChecksumCatchesBitFlip flips a single data bit of a v3 file on disk
+// TestOldIndexedVersionsRejected: the row-wise v2 and v3 indexed formats
+// have no writer any more, and a header that claims one of them is
+// refused as corrupt by both entry points rather than mis-decoded.
+func TestOldIndexedVersionsRejected(t *testing.T) {
+	path, _ := writeSmallIndexed(t, nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []byte{2, 3} {
+		data[4] = ver
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenIndexed(path); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				r.Close()
+			}
+			t.Fatalf("OpenIndexed of a version-%d header returned %v; want wrapped ErrCorrupt", ver, err)
+		}
+		if err := Each(path, func(Cell) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Each of a version-%d header returned %v; want wrapped ErrCorrupt", ver, err)
+		}
+	}
+}
+
+// TestChecksumCatchesBitFlip flips a single data bit of a file on disk
 // and asserts the read fails with ErrCorrupt instead of serving a wrong
-// cell — the exact failure v2 cannot see.
+// cell.
 func TestChecksumCatchesBitFlip(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -100,49 +97,7 @@ func TestChecksumCatchesBitFlip(t *testing.T) {
 	defer r.Close()
 	err = r.Each(func(Cell) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("reading a bit-flipped v3 block returned %v; want wrapped ErrCorrupt", err)
-	}
-}
-
-// TestV2MissesBitFlipButV3Catches documents why v3 exists: the same
-// single-bit damage that v3 rejects can pass v2's structural checks and
-// come back as a silently different cell.
-func TestV2MissesBitFlipButV3Catches(t *testing.T) {
-	for _, ver := range []int{2, 3} {
-		path, cells := writeSmallIndexed(t, ver, nil)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Flip a bit inside the first cell's 32-byte aggregate state: the
-		// record structure stays valid, only the value changes.
-		data[headerLen+4] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenIndexed(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wrong bool
-		rerr := r.Each(func(c Cell) error {
-			if c.State != cells[0].State && c.Point == cells[0].Point {
-				wrong = true
-			}
-			return nil
-		})
-		r.Close()
-		switch ver {
-		case 2:
-			if rerr != nil && !wrong {
-				// v2 may get lucky and fail structurally; that is fine too.
-				continue
-			}
-		case 3:
-			if !errors.Is(rerr, ErrCorrupt) {
-				t.Fatalf("v3 read of damaged state returned %v (wrong=%v); want ErrCorrupt", rerr, wrong)
-			}
-		}
+		t.Fatalf("reading a bit-flipped block returned %v; want wrapped ErrCorrupt", err)
 	}
 }
 
@@ -151,7 +106,7 @@ func TestV2MissesBitFlipButV3Catches(t *testing.T) {
 // op index, so transient faults pass on re-roll) and the retry counter
 // must show it happened.
 func TestRetryHealsTransientFaults(t *testing.T) {
-	path, cells := writeSmallIndexed(t, 3, nil)
+	path, cells := writeSmallIndexed(t, nil)
 	inj := fault.New(fault.Config{Seed: 11, ErrEvery: 3, CorruptEvery: 4, ShortEvery: 5})
 	reg := obs.New()
 	inj.Observe(reg)
@@ -183,7 +138,7 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 // TestInjectedCorruptionDetectedNotServed disables retries so an injected
 // bit flip has nowhere to hide: the CRC must reject it.
 func TestInjectedCorruptionDetectedNotServed(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	inj := fault.New(fault.Config{Seed: 7, CorruptEvery: 1})
 	r, err := OpenIndexedWith(path, ReadOptions{Fault: inj, Retries: -1})
 	if err == nil {
@@ -196,7 +151,7 @@ func TestInjectedCorruptionDetectedNotServed(t *testing.T) {
 }
 
 func TestTruncatedSurfacesSentinel(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +173,7 @@ func TestTruncatedSurfacesSentinel(t *testing.T) {
 }
 
 func TestEachCuboidCtxCancellation(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +198,7 @@ func TestEachCuboidCtxCancellation(t *testing.T) {
 // TestScanCuboidMatchesIndexedPath asserts the degraded sequential scan
 // returns exactly the cells the fast path returns, for every cuboid.
 func TestScanCuboidMatchesIndexedPath(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
@@ -284,13 +239,13 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 // TestScanCuboidBypassesCache poisons the block cache with wrong cells and
 // asserts ScanCuboid ignores it (fresh reads are the point of the rung).
 func TestScanCuboidBypassesCache(t *testing.T) {
-	path, _ := writeSmallIndexed(t, 3, nil)
+	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	cache := NewBlockCache(64)
+	cache := NewBlockCacheBytes(64 * DefaultBlockBytes)
 	r.SetCache(cache)
 	// Poison every block's cache slot with an empty slice.
 	for bi := 0; bi < r.NumBlocks(); bi++ {

@@ -35,13 +35,11 @@ func fuzzSeedV1(tb testing.TB) []byte {
 	return data
 }
 
-// fuzzSeedIndexed builds a small valid indexed cell file of the given
-// format version in memory.
-func fuzzSeedIndexed(tb testing.TB, ver int) []byte {
+// fuzzSeedIndexed builds a small valid indexed cell file in memory.
+func fuzzSeedIndexed(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "seed.x3ci")
 	sink := CreateIndexed(path)
-	sink.Version = ver
 	var s agg.State
 	s.Add(3)
 	for p := uint32(0); p < 6; p++ {
@@ -62,71 +60,67 @@ func fuzzSeedIndexed(tb testing.TB, ver int) []byte {
 }
 
 // FuzzCellfile throws arbitrary bytes at both reader paths — the v1
-// streaming reader and the v2 indexed open/scan — which must reject
+// streaming reader and the indexed open/scan — which must reject
 // corrupt input with an error, never panic, and never trust an
 // attacker-chosen count or offset enough to allocate unboundedly. The
 // seeds cover both valid formats plus the historically dangerous shapes:
-// truncation, forged trailers, corrupt markers, and oversized uvarints.
+// truncation, forged trailers, corrupt markers, oversized uvarints, and
+// headers claiming the retired v2/v3 indexed versions.
 func FuzzCellfile(f *testing.F) {
 	v1 := fuzzSeedV1(f)
-	v2 := fuzzSeedIndexed(f, 2)
-	v3 := fuzzSeedIndexed(f, 3)
-	v4 := fuzzSeedIndexed(f, 4)
+	v4 := fuzzSeedIndexed(f)
+	withByte := func(b []byte, at int, set func(byte) byte) []byte {
+		out := append([]byte{}, b...)
+		out[at] = set(out[at])
+		return out
+	}
 	f.Add(v1)
-	f.Add(v2)
-	f.Add(v3)
+	f.Add(withByte(v4, 4, func(byte) byte { return 2 })) // retired version 2 header
+	f.Add(withByte(v4, 4, func(byte) byte { return 3 })) // retired version 3 header
 	f.Add(v4)
 	f.Add(v1[:len(v1)-3])              // truncated trailer
-	f.Add(v2[:len(v2)-footerLen+4])    // truncated v2 footer
-	f.Add(v3[:len(v3)-footerLenCRC+4]) // truncated v3 footer
-	f.Add(v2[:len(v2)/2])              // truncated mid-index
+	f.Add(v4[:len(v4)-1])              // footer magic cut short
+	f.Add(v4[:len(v4)-footerLenCRC])   // footer gone entirely
+	f.Add(v4[:len(v4)/2])              // truncated mid-file
 	f.Add(append([]byte{}, v1[:5]...)) // header only, no trailer
-	corrupt := append([]byte{}, v1...)
-	corrupt[6] = 0x7E // clobber the first record marker
-	f.Add(corrupt)
+	// Clobber the first record marker.
+	f.Add(withByte(v1, 6, func(byte) byte { return 0x7E }))
 	// An oversized uvarint where a key length belongs.
 	huge := []byte{'X', '3', 'C', 'F', 1, 0x01, 0x00}
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(huge)
-	// A v2 footer claiming a gigantic cell count over a tiny file.
-	lying := append([]byte{}, v2...)
-	binary.BigEndian.PutUint64(lying[len(lying)-footerLen:], 1<<50)
+	// A footer claiming a gigantic cell count over a tiny file.
+	lying := append([]byte{}, v4...)
+	binary.BigEndian.PutUint64(lying[len(lying)-footerLenCRC:], 1<<50)
 	f.Add(lying)
-	// A v2 index offset pointing past EOF.
-	past := append([]byte{}, v2...)
-	binary.BigEndian.PutUint64(past[len(past)-footerLen+8:], 1<<40)
+	// An index offset pointing past EOF.
+	past := append([]byte{}, v4...)
+	binary.BigEndian.PutUint64(past[len(past)-footerLenCRC+8:], 1<<40)
 	f.Add(past)
-	// A v3 file with a flipped data bit (the per-block CRC's job).
-	flipped := append([]byte{}, v3...)
-	flipped[headerLen+3] ^= 0x10
-	f.Add(flipped)
-	// A v3 file whose index bytes are damaged (the index CRC's job).
-	idxFlip := append([]byte{}, v3...)
-	idxFlip[len(idxFlip)-footerLenCRC-2] ^= 0x01
-	f.Add(idxFlip)
-	// A v3 footer with a lying index checksum.
-	badCRC := append([]byte{}, v3...)
+	// A flipped data bit (the per-block CRC's job).
+	f.Add(withByte(v4, headerLen+3, func(b byte) byte { return b ^ 0x10 }))
+	// Damaged index bytes (the index CRC's job).
+	f.Add(withByte(v4, len(v4)-footerLenCRC-2, func(b byte) byte { return b ^ 0x01 }))
+	// A footer with a lying index checksum.
+	badCRC := append([]byte{}, v4...)
 	binary.BigEndian.PutUint32(badCRC[len(badCRC)-footerLenCRC+16:], 0xDEADBEEF)
 	f.Add(badCRC)
 	// An early v1 trailer with trailing data (the fixed trailer hole).
 	f.Add(append(append([]byte{}, v1...), v1[5:]...))
-	// v4 columnar shapes: a corrupt value dictionary / run header (any
-	// early data byte participates in the varint streams), a truncated
-	// column tail, an all-continuation-bits varint run, and a damaged
-	// index over valid columns.
-	badDict := append([]byte{}, v4...)
-	badDict[headerLen+1] ^= 0xFF
-	f.Add(badDict)
+	// Columnar shapes: a corrupt value dictionary / run header (any early
+	// data byte participates in the varint streams), a truncated column
+	// tail, an all-continuation-bits varint run, and a damaged block count
+	// over valid columns.
+	f.Add(withByte(v4, headerLen+1, func(b byte) byte { return b ^ 0xFF }))
 	f.Add(v4[:headerLen+3]) // truncated mid-column
 	badRun := append([]byte{}, v4...)
 	for i := headerLen; i < headerLen+8 && i < len(badRun); i++ {
 		badRun[i] = 0x80 // uvarint that never terminates
 	}
 	f.Add(badRun)
-	v4idx := append([]byte{}, v4...)
-	v4idx[len(v4idx)-footerLenCRC-2] ^= 0x01
-	f.Add(v4idx)
-	f.Add(v4[:len(v4)-footerLenCRC+4]) // truncated v4 footer
+	indexOff := int(binary.BigEndian.Uint64(v4[len(v4)-footerLenCRC+8:]))
+	f.Add(withByte(v4, indexOff, func(b byte) byte { return b ^ 0x01 }))
+	f.Add(v4[:len(v4)-footerLenCRC+4]) // truncated footer
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.x3cf")

@@ -1,38 +1,33 @@
-// The indexed cell-file formats (v2, the checksummed v3 and the columnar
-// v4). Where v1 is a write-once stream that can only be consumed front to
-// back, v2 lays the cells out sorted by (point id, key) and appends a
-// sparse block index plus a per-cuboid directory, so a serving layer can
-// answer "give me cuboid P" with one binary search, one seek and a bounded
-// scan instead of a full-file pass. v3 is v2 plus integrity: every data
-// block carries a CRC32-C checksum in its index entry and the index
-// section itself is checksummed in the footer, so a corrupted read is
-// *detected* — and retried, and ultimately refused — instead of served as
-// silently wrong cells. v4 keeps v3's container byte for byte (header,
-// index, directory, CRC footer) but stores each block column-wise — see
-// columnar.go — shrinking blocks ~5x so the same cache budget holds ~5x
-// more cuboids. The writer emits v4; the reader accepts all three.
+// The indexed cell-file format (v4). Where v1 is a write-once stream that
+// can only be consumed front to back, the indexed file lays the cells out
+// sorted by (point id, key) and appends a sparse block index plus a
+// per-cuboid directory, so a serving layer can answer "give me cuboid P"
+// with one binary search, one seek and a bounded scan instead of a
+// full-file pass. Every data block carries a CRC32-C checksum in its index
+// entry and the index section itself is checksummed in the footer, so a
+// corrupted read is *detected* — and retried, and ultimately refused —
+// instead of served as silently wrong cells. Blocks are stored column-wise
+// (see columnar.go). Versions 2 and 3 were row-wise predecessors of the
+// same container; no writer emits them any more and the reader rejects
+// them as corrupt.
 //
 // Layout:
 //
-//	magic "X3CF", version byte (2, 3 or 4)
-//	data section, sorted by (point, key):
-//	    v2/v3: per-cell records — uvarint point, uvarint key length,
-//	           key ValueIDs (uvarints), 32-byte aggregate state
-//	    v4:    columnar blocks (see columnar.go)
+//	magic "X3CF", version byte (4)
+//	data section, sorted by (point, key): columnar blocks (see columnar.go)
 //	index section (at the footer's index offset):
 //	    uvarint block count
 //	    per block: uvarint absolute offset, uvarint first point,
-//	               uvarint cell count, uvarint CRC32-C (v3+)
+//	               uvarint cell count, uvarint CRC32-C
 //	    uvarint cuboid count
 //	    per cuboid: uvarint point, uvarint cell count
 //	footer: big-endian uint64 total cell count,
 //	    big-endian uint64 index offset,
-//	    big-endian uint32 index CRC32-C (v3+),
+//	    big-endian uint32 index CRC32-C,
 //	    magic "X3IX"
 //
-// Records deliberately drop v1's per-record 0x01 marker: block cell
-// counts come from the index, and the fixed footer makes truncation
-// detection positional rather than sentinel-based.
+// Block cell counts come from the index, and the fixed footer makes
+// truncation detection positional rather than sentinel-based.
 package cellfile
 
 import (
@@ -55,17 +50,12 @@ import (
 	"x3/internal/obs"
 )
 
-const (
-	indexedVersion    = 2 // legacy, no checksums
-	indexedVersionCRC = 3 // per-block + index CRC32-C
-	indexedVersionCol = 4 // v3 container, columnar compressed blocks
-)
+// indexedVersionCol is the one indexed format: checksummed container,
+// columnar compressed blocks.
+const indexedVersionCol = 4
 
-// footerLen / footerLenCRC are the fixed byte lengths of the footers.
-const (
-	footerLen    = 20
-	footerLenCRC = 24
-)
+// footerLenCRC is the fixed byte length of the footer.
+const footerLenCRC = 24
 
 var indexMagic = [4]byte{'X', '3', 'I', 'X'}
 
@@ -78,11 +68,6 @@ const headerLen = 5
 // DefaultBlockCells is the block granularity of the sparse index: a new
 // block starts every this-many cells.
 const DefaultBlockCells = 256
-
-// minRecordLen is the smallest possible encoded cell (1-byte point,
-// zero-length key, state); it bounds how many cells a block of known byte
-// length can claim, which keeps corrupt counts from forcing allocations.
-const minRecordLen = 2 + agg.EncodedSize
 
 // Read-retry defaults: transient read faults (and transiently corrupted
 // buffers caught by the block checksums) are retried with doubling
@@ -102,10 +87,6 @@ type IndexedSink struct {
 	// BlockCells overrides the index block granularity (cells per block);
 	// 0 selects DefaultBlockCells. Set it before Close.
 	BlockCells int
-	// Version selects the output format: 0 or 4 writes the columnar v4,
-	// 3 the row-wise checksummed v3, 2 the legacy un-checksummed v2 (the
-	// older versions exist for compatibility tests and format archaeology).
-	Version int
 	// Fault optionally injects write-path faults (crash-safety tests).
 	Fault *fault.Injector
 	cells []Cell
@@ -148,13 +129,6 @@ func (s *IndexedSink) Close() error {
 		}
 		return len(a.Key) < len(b.Key)
 	})
-	ver := s.Version
-	if ver == 0 {
-		ver = indexedVersionCol
-	}
-	if ver != indexedVersion && ver != indexedVersionCRC && ver != indexedVersionCol {
-		return fmt.Errorf("cellfile: cannot write version %d", ver)
-	}
 	f, err := os.Create(s.path)
 	if err != nil {
 		return fmt.Errorf("cellfile: %w", err)
@@ -165,7 +139,7 @@ func (s *IndexedSink) Close() error {
 		return err
 	}
 	w := bufio.NewWriterSize(s.Fault.Writer("cellfile.write", f), 1<<16)
-	if err := writeIndexed(w, s.cells, s.BlockCells, byte(ver)); err != nil {
+	if err := writeIndexed(w, s.cells, s.BlockCells); err != nil {
 		return fail(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -189,16 +163,15 @@ func putUvarint(dst []byte, v uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
-// writeIndexed writes the sorted cells, the index and the footer to w in
-// the given format version.
-func writeIndexed(w io.Writer, cells []Cell, blockCells int, ver byte) error {
+// writeIndexed writes the sorted cells, the index and the footer to w.
+func writeIndexed(w io.Writer, cells []Cell, blockCells int) error {
 	if blockCells <= 0 {
 		blockCells = DefaultBlockCells
 	}
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte{ver}); err != nil {
+	if _, err := w.Write([]byte{indexedVersionCol}); err != nil {
 		return err
 	}
 	type blockMetaW struct {
@@ -212,47 +185,22 @@ func writeIndexed(w io.Writer, cells []Cell, blockCells int, ver byte) error {
 		buf    []byte
 		off    = uint64(headerLen)
 	)
-	if ver == indexedVersionCol {
-		// v4 encodes whole blocks at once: the columnar sections need every
-		// cell of the block in hand before any byte is final.
-		for i := 0; i < len(cells); i += blockCells {
-			j := i + blockCells
-			if j > len(cells) {
-				j = len(cells)
-			}
-			buf = appendColumnarBlock(buf[:0], cells[i:j])
-			blocks = append(blocks, blockMetaW{
-				off: off, firstPoint: cells[i].Point, cells: j - i,
-				crc: crc32.Checksum(buf, castagnoli),
-			})
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			off += uint64(len(buf))
+	// Whole blocks are encoded at once: the columnar sections need every
+	// cell of the block in hand before any byte is final.
+	for i := 0; i < len(cells); i += blockCells {
+		j := i + blockCells
+		if j > len(cells) {
+			j = len(cells)
 		}
-	} else {
-		for i := range cells {
-			c := &cells[i]
-			if i%blockCells == 0 {
-				blocks = append(blocks, blockMetaW{off: off, firstPoint: c.Point})
-			}
-			buf = buf[:0]
-			buf = putUvarint(buf, uint64(c.Point))
-			buf = putUvarint(buf, uint64(len(c.Key)))
-			for _, v := range c.Key {
-				buf = putUvarint(buf, uint64(v))
-			}
-			var enc [agg.EncodedSize]byte
-			c.State.Encode(enc[:])
-			buf = append(buf, enc[:]...)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			off += uint64(len(buf))
-			b := &blocks[len(blocks)-1]
-			b.cells++
-			b.crc = crc32.Update(b.crc, castagnoli, buf)
+		buf = appendColumnarBlock(buf[:0], cells[i:j])
+		blocks = append(blocks, blockMetaW{
+			off: off, firstPoint: cells[i].Point, cells: j - i,
+			crc: crc32.Checksum(buf, castagnoli),
+		})
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
+		off += uint64(len(buf))
 	}
 	indexOff := off
 
@@ -262,9 +210,7 @@ func writeIndexed(w io.Writer, cells []Cell, blockCells int, ver byte) error {
 		idx = putUvarint(idx, b.off)
 		idx = putUvarint(idx, uint64(b.firstPoint))
 		idx = putUvarint(idx, uint64(b.cells))
-		if ver >= indexedVersionCRC {
-			idx = putUvarint(idx, uint64(b.crc))
-		}
+		idx = putUvarint(idx, uint64(b.crc))
 	}
 	// Cuboid directory: the cells are sorted, so runs of equal points are
 	// contiguous.
@@ -288,19 +234,11 @@ func writeIndexed(w io.Writer, cells []Cell, blockCells int, ver byte) error {
 		return err
 	}
 
-	if ver >= indexedVersionCRC {
-		var foot [footerLenCRC]byte
-		binary.BigEndian.PutUint64(foot[0:], uint64(len(cells)))
-		binary.BigEndian.PutUint64(foot[8:], indexOff)
-		binary.BigEndian.PutUint32(foot[16:], crc32.Checksum(idx, castagnoli))
-		copy(foot[20:], indexMagic[:])
-		_, err := w.Write(foot[:])
-		return err
-	}
-	var foot [footerLen]byte
+	var foot [footerLenCRC]byte
 	binary.BigEndian.PutUint64(foot[0:], uint64(len(cells)))
 	binary.BigEndian.PutUint64(foot[8:], indexOff)
-	copy(foot[16:], indexMagic[:])
+	binary.BigEndian.PutUint32(foot[16:], crc32.Checksum(idx, castagnoli))
+	copy(foot[20:], indexMagic[:])
 	_, err := w.Write(foot[:])
 	return err
 }
@@ -319,7 +257,7 @@ type blockMeta struct {
 	length     int64  // byte length of the block
 	firstPoint uint32 // point id of the block's first cell
 	cells      int    // number of cells in the block
-	crc        uint32 // CRC32-C of the block bytes (v3 only)
+	crc        uint32 // CRC32-C of the block bytes
 }
 
 // ReadOptions tune an IndexedReader's fault tolerance.
@@ -353,14 +291,13 @@ func (o ReadOptions) backoff() time.Duration {
 	return o.RetryBackoff
 }
 
-// IndexedReader serves cuboid slices out of a v2/v3 cell file. It is safe
+// IndexedReader serves cuboid slices out of an indexed cell file. It is safe
 // for concurrent use: all file access goes through ReadAt, the metadata
 // is immutable after Open, and the optional block cache locks internally.
 type IndexedReader struct {
 	f       *os.File
 	ra      io.ReaderAt // f, possibly behind a fault shim
 	path    string
-	ver     byte
 	retries int
 	backoff time.Duration
 	blocks  []blockMeta
@@ -450,7 +387,9 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 		backoff: opt.backoff(),
 		gen:     nextReaderGen(),
 	}
-	if size < headerLen+footerLen {
+	const footLen = int64(footerLenCRC)
+	const minRec = uint64(minRecordLenV4)
+	if size < headerLen+footLen {
 		return nil, fmt.Errorf("%w: %s: too short for an indexed cell file", ErrTruncated, path)
 	}
 	var hdr [headerLen]byte
@@ -460,23 +399,8 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 	if [4]byte(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: %s is not a cell file", ErrCorrupt, path)
 	}
-	r.ver = hdr[4]
-	footLen := int64(footerLen)
-	switch r.ver {
-	case indexedVersion:
-	case indexedVersionCRC, indexedVersionCol:
-		footLen = footerLenCRC
-	default:
+	if hdr[4] != indexedVersionCol {
 		return nil, fmt.Errorf("%w: %s: not an indexed cell file (version %d)", ErrCorrupt, path, hdr[4])
-	}
-	// The per-cell plausibility floor depends on the encoding: columnar v4
-	// cells amortize below the v2/v3 row minimum.
-	minRec := uint64(minRecordLen)
-	if r.ver == indexedVersionCol {
-		minRec = minRecordLenV4
-	}
-	if size < headerLen+footLen {
-		return nil, fmt.Errorf("%w: %s: too short for a v%d footer", ErrTruncated, path, r.ver)
 	}
 	foot := make([]byte, footLen)
 	if err := r.readFull(foot, size-footLen); err != nil {
@@ -487,10 +411,7 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 	}
 	totalCells := binary.BigEndian.Uint64(foot[0:])
 	indexOff := binary.BigEndian.Uint64(foot[8:])
-	var indexCRC uint32
-	if r.ver >= indexedVersionCRC {
-		indexCRC = binary.BigEndian.Uint32(foot[16:])
-	}
+	indexCRC := binary.BigEndian.Uint32(foot[16:])
 	if indexOff < headerLen || int64(indexOff) > size-footLen {
 		return nil, fmt.Errorf("%w: %s: index offset %d out of range", ErrCorrupt, path, indexOff)
 	}
@@ -502,10 +423,8 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 	if err := r.readFull(idx, int64(indexOff)); err != nil {
 		return nil, err
 	}
-	if r.ver >= indexedVersionCRC {
-		if got := crc32.Checksum(idx, castagnoli); got != indexCRC {
-			return nil, fmt.Errorf("%w: %s: index checksum %08x, footer says %08x", ErrCorrupt, path, got, indexCRC)
-		}
+	if got := crc32.Checksum(idx, castagnoli); got != indexCRC {
+		return nil, fmt.Errorf("%w: %s: index checksum %08x, footer says %08x", ErrCorrupt, path, got, indexCRC)
 	}
 	br := bytes.NewReader(idx)
 	numBlocks, err := binary.ReadUvarint(br)
@@ -532,15 +451,12 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
 		}
-		var crc uint64
-		if r.ver >= indexedVersionCRC {
-			crc, err = binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
-			}
-			if crc > 1<<32-1 {
-				return nil, fmt.Errorf("%w: %s: block %d checksum %d overflows", ErrCorrupt, path, i, crc)
-			}
+		crc, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
+		}
+		if crc > 1<<32-1 {
+			return nil, fmt.Errorf("%w: %s: block %d checksum %d overflows", ErrCorrupt, path, i, crc)
 		}
 		if off < headerLen || off >= indexOff {
 			return nil, fmt.Errorf("%w: %s: block %d offset %d outside data section", ErrCorrupt, path, i, off)
@@ -628,9 +544,6 @@ func (r *IndexedReader) Observe(reg *obs.Registry) {
 // refresh never sees a predecessor's blocks.
 func (r *IndexedReader) SetCache(c *BlockCache) { r.cache = c }
 
-// Version returns the file's format version (2, 3 or 4).
-func (r *IndexedReader) Version() int { return int(r.ver) }
-
 // NumCells returns the total number of cells in the file.
 func (r *IndexedReader) NumCells() int64 { return r.cells }
 
@@ -716,19 +629,11 @@ func (r *IndexedReader) readBlockFresh(bi int) ([]Cell, error) {
 			lastErr = err
 			continue
 		}
-		if r.ver >= indexedVersionCRC {
-			if got := crc32.Checksum(buf, castagnoli); got != b.crc {
-				lastErr = fmt.Errorf("%w: %s: block %d checksum %08x, index says %08x", ErrCorrupt, r.path, bi, got, b.crc)
-				continue
-			}
+		if got := crc32.Checksum(buf, castagnoli); got != b.crc {
+			lastErr = fmt.Errorf("%w: %s: block %d checksum %08x, index says %08x", ErrCorrupt, r.path, bi, got, b.crc)
+			continue
 		}
-		var cells []Cell
-		var err error
-		if r.ver == indexedVersionCol {
-			cells, err = decodeColumnarBlock(buf, b.cells)
-		} else {
-			cells, err = decodeBlock(buf, b.cells)
-		}
+		cells, err := decodeColumnarBlock(buf, b.cells)
 		if err != nil {
 			lastErr = fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, r.path, bi, err)
 			continue
@@ -736,49 +641,6 @@ func (r *IndexedReader) readBlockFresh(bi int) ([]Cell, error) {
 		return cells, nil
 	}
 	return nil, lastErr
-}
-
-// decodeBlock parses exactly count cell records out of buf.
-func decodeBlock(buf []byte, count int) ([]Cell, error) {
-	br := bytes.NewReader(buf)
-	cells := make([]Cell, 0, count)
-	for i := 0; i < count; i++ {
-		point, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		if point > 1<<32-1 {
-			return nil, fmt.Errorf("cell %d: point %d overflows", i, point)
-		}
-		klen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		if klen > 1<<16 {
-			return nil, fmt.Errorf("cell %d: implausible key length %d", i, klen)
-		}
-		c := Cell{Point: uint32(point), Key: make([]match.ValueID, klen)}
-		for k := range c.Key {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("cell %d: %w", i, err)
-			}
-			if v > 1<<32-1 {
-				return nil, fmt.Errorf("cell %d: value id %d overflows", i, v)
-			}
-			c.Key[k] = match.ValueID(v)
-		}
-		var enc [agg.EncodedSize]byte
-		if _, err := io.ReadFull(br, enc[:]); err != nil {
-			return nil, fmt.Errorf("cell %d state: %w", i, err)
-		}
-		c.State = agg.Decode(enc[:])
-		cells = append(cells, c)
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%d stray bytes after %d cells", br.Len(), count)
-	}
-	return cells, nil
 }
 
 // ctxErr wraps a context failure in the package's cancellation sentinel

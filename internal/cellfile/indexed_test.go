@@ -81,13 +81,13 @@ func TestIndexedRoundTrip(t *testing.T) {
 		t.Fatalf("read %d cells, oracle has %d", read, want.Cells)
 	}
 
-	// The generic Each entry point must dispatch v2 files too.
+	// The generic Each entry point must dispatch indexed files too.
 	var viaEach int64
 	if err := Each(path, func(Cell) error { viaEach++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if viaEach != want.Cells {
-		t.Fatalf("Each read %d cells of a v2 file, want %d", viaEach, want.Cells)
+		t.Fatalf("Each read %d cells of an indexed file, want %d", viaEach, want.Cells)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestEachCuboidBoundedAndComplete(t *testing.T) {
 func TestIndexedReaderCacheSharing(t *testing.T) {
 	path, _ := buildIndexed(t, 7, 200, 3)
 	reg := obs.New()
-	cache := NewBlockCache(4)
+	cache := NewBlockCacheBytes(4 * DefaultBlockBytes)
 	r, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestIndexedCorruptionRejected(t *testing.T) {
 	// Flip one byte inside the index section (footer's index offset is at
 	// len-12..len-4; index starts well before that).
 	corrupt := append([]byte{}, data...)
-	corrupt[len(corrupt)-footerLen-2] ^= 0xFF
+	corrupt[len(corrupt)-footerLenCRC-2] ^= 0xFF
 	cases["corrupt-index"] = corrupt
 	// Lie about the footer cell count.
 	lied := append([]byte{}, data...)
@@ -231,7 +231,7 @@ func TestIndexedCorruptionRejected(t *testing.T) {
 	}
 	// Footer count mismatch, explicitly.
 	mis := append([]byte{}, data...)
-	mis[len(mis)-footerLen+7] ^= 0x01
+	mis[len(mis)-footerLenCRC+7] ^= 0x01
 	p := write("footer-count.x3ci", mis)
 	if r, err := OpenIndexed(p); err == nil {
 		r.Close()
@@ -347,9 +347,6 @@ func TestSinkAccessors(t *testing.T) {
 	bad := CreateIndexed(filepath.Join(dir, "no-dir", "x.x3ci"))
 	if err := bad.Close(); err == nil {
 		t.Error("v2 Close into a missing directory succeeded")
-	}
-	if NewBlockCache(0).Budget() != DefaultBlockBytes {
-		t.Error("zero-capacity cache not clamped to one block's budget")
 	}
 	if NewBlockCacheBytes(0).Budget() != 1 {
 		t.Error("zero-byte cache budget not clamped")

@@ -59,11 +59,11 @@ func (d *Delta) Points() []uint32 {
 	return append([]uint32(nil), d.pids...)
 }
 
-// Absorb folds src's facts into the delta: the same combinatorial
-// (cuboid, group) walk Maintain performs, restricted to the keep set.
-// The facts must have been evaluated with the same dictionaries as every
-// earlier absorb (match.EvaluateWith), so ValueIDs agree. Iceberg
-// lattices are refused for the same reason Maintain refuses them:
+// Absorb folds src's facts into the delta: every (cuboid, group)
+// membership of each fact is enumerated — the same combinatorial walk
+// COUNTER performs — restricted to the keep set. The facts must have been
+// evaluated with the same dictionaries as every earlier absorb
+// (match.EvaluateWith), so ValueIDs agree. Iceberg lattices are refused:
 // discarded below-threshold cells make increments unsound.
 func (d *Delta) Absorb(src Source) (added int64, err error) {
 	lat := d.lat

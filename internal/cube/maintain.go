@@ -1,74 +1,40 @@
 package cube
 
 import (
-	"fmt"
-
 	"x3/internal/agg"
 	"x3/internal/match"
 )
 
 // Maintain folds newly arrived facts into an already-computed Result
-// without recomputing the cube: every (cuboid, group) membership of each
-// new fact is enumerated — the same combinatorial walk COUNTER performs —
-// and merged into the existing cells. This is sound because all supported
-// aggregates are distributive or algebraic under insertion; deletions are
-// not supported. The new facts must have been evaluated with the Result's
-// own dictionaries (match.EvaluateWith), so their ValueIDs agree.
+// without recomputing the cube: the facts are absorbed into a Delta over
+// every cuboid of the lattice — the one (cuboid, group) membership walk of
+// the maintenance path — and the delta's cells are merged into the
+// existing ones. This is sound because all supported aggregates are
+// distributive or algebraic under insertion; deletions are not supported.
+// The new facts must have been evaluated with the Result's own
+// dictionaries (match.EvaluateWith), so their ValueIDs agree. If src
+// fails part-way the Result is left untouched.
 //
 // Iceberg results cannot be maintained: cells below the old threshold were
 // discarded, so their true counts are unknown. Maintain refuses them.
 func Maintain(res *Result, src Source) (added int64, err error) {
-	lat := res.Lattice
-	if lat.Query.MinSupport > 1 {
-		return 0, fmt.Errorf("cube: cannot maintain an iceberg cube (HAVING >= %d): below-threshold cells were discarded", lat.Query.MinSupport)
+	d := NewDelta(res.Lattice, nil)
+	if added, err = d.Absorb(src); err != nil {
+		return added, err
 	}
-	d := lat.NumAxes()
-	point := make([]uint8, d)
-	key := make([]match.ValueID, 0, d)
-
-	err = src.Each(func(f *match.Fact) error {
-		added++
-		var rec func(a int)
-		rec = func(a int) {
-			if a == d {
-				pid := lat.ID(point)
-				cells, ok := res.Cuboids[pid]
-				if !ok {
-					cells = make(map[string]agg.State)
-					res.Cuboids[pid] = cells
-				}
-				k := string(packKey(nil, key))
-				s, exists := cells[k]
-				s.Add(f.Measure)
-				cells[k] = s
-				if !exists {
-					res.Cells++
-				}
-				return
-			}
-			lad := lat.Ladders[a]
-			if lad.HasDeleted() {
-				point[a] = uint8(lad.Len() - 1)
-				rec(a + 1)
-			}
-			live := lad.Len()
-			if lad.HasDeleted() {
-				live--
-			}
-			for s := 0; s < live; s++ {
-				vs := f.Values(a, s)
-				if len(vs) == 0 {
-					continue
-				}
-				point[a] = uint8(s)
-				for _, v := range vs {
-					key = append(key, v)
-					rec(a + 1)
-					key = key[:len(key)-1]
-				}
-			}
+	err = d.Each(func(pid uint32, key []match.ValueID, s agg.State) error {
+		cells, ok := res.Cuboids[pid]
+		if !ok {
+			cells = make(map[string]agg.State)
+			res.Cuboids[pid] = cells
 		}
-		rec(0)
+		k := string(packKey(nil, key))
+		cur, exists := cells[k]
+		cur.Merge(s)
+		cells[k] = cur
+		if !exists {
+			res.Cells++
+		}
 		return nil
 	})
 	return added, err

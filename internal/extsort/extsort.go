@@ -106,7 +106,7 @@ func (s *Sorter) observeFinish() {
 	s.reg.Counter("extsort.runs.spilled").Add(int64(s.stats.Runs))
 	s.reg.Counter("extsort.rows.sorted").Add(s.stats.Rows)
 	s.reg.Counter("extsort.spill.bytes").Add(s.stats.SpillBytes)
-	s.reg.Histogram("extsort.sort.rows").Observe(s.stats.Rows)
+	s.reg.HDR("extsort.sort.rows").Observe(s.stats.Rows)
 }
 
 // ctxErr reports a cancelled sort as an error wrapping ctx.Err() (so

@@ -1,19 +1,18 @@
 package obs
 
-// This file is the latency side of the registry: an HDR-style histogram
-// with sub-power-of-two resolution. The original Histogram (obs.go) keeps
-// one bucket per power of two — fine for byte sizes and fan-outs, but a
-// p99 extracted from it can sit anywhere inside a bucket whose bounds are
-// 2x apart, which is useless as an SLO gate. The HDR type splits every
-// power of two into 2^hdrSubBits linear sub-buckets, bounding the
-// relative quantile error at 2^-(hdrSubBits+1) (< 0.4%), while staying a
-// fixed-size, lock-free, allocation-free structure.
+// This file is the registry's histogram: an HDR-style histogram with
+// sub-power-of-two resolution. One bucket per power of two would let a
+// p99 sit anywhere inside a bucket whose bounds are 2x apart, which is
+// useless as an SLO gate. The HDR type splits every power of two into
+// 2^hdrSubBits linear sub-buckets, bounding the relative quantile error
+// at 2^-(hdrSubBits+1) (< 0.4%), while staying a fixed-size, lock-free,
+// allocation-free structure.
 //
 // Latency keys (serve.answer.latency, serve.http.latency, the load
-// harness's per-phase recorders) belong here; the coarse Histogram stays
-// for cheap magnitude counters. Snapshots are mergeable — merge(snap a,
-// snap b) is exactly the histogram of the union of observations — so
-// per-worker recorders can aggregate without sharing a cache line.
+// harness's per-phase recorders) and magnitude keys (extsort.sort.rows)
+// alike live here. Snapshots are mergeable — merge(snap a, snap b) is
+// exactly the histogram of the union of observations — so per-worker
+// recorders can aggregate without sharing a cache line.
 
 import (
 	"math/bits"

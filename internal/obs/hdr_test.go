@@ -142,32 +142,6 @@ func TestHDRMergeEqualsUnion(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileErrorBound pins the defect that routed latency
-// keys to the HDR type: the power-of-two Histogram's p99 overshoots by
-// up to 2x at the tail (it reports the bucket's upper bound), while the
-// HDR histogram stays within 1% on the same stream.
-func TestHistogramQuantileErrorBound(t *testing.T) {
-	old, hdr := &Histogram{}, &HDR{}
-	// Every observation is 1025ns — just past a power of two, the worst
-	// case for power-of-two buckets ([1024, 2047] reports 2047).
-	const v = 1025
-	for i := 0; i < 1000; i++ {
-		old.Observe(v)
-		hdr.Observe(v)
-	}
-	oldP99 := old.Quantile(0.99)
-	if e := relErr(oldP99, v); e <= 0.01 {
-		t.Fatalf("old histogram p99 %d unexpectedly accurate (rel err %.4f); the 2x bound no longer motivates HDR", oldP99, e)
-	}
-	// ... but never past the bucket's upper bound: 2x - 1.
-	if oldP99 < v || oldP99 >= 2*v {
-		t.Fatalf("old histogram p99 %d outside its documented [v, 2v) bound for v=%d", oldP99, v)
-	}
-	if got := hdr.Quantile(0.99); relErr(got, v) > 0.01 {
-		t.Fatalf("hdr p99 %d off by more than 1%% from %d", got, v)
-	}
-}
-
 // TestHDRConcurrentObserve hammers one histogram from many goroutines;
 // the final count and sum must be exact (run under -race in make race).
 func TestHDRConcurrentObserve(t *testing.T) {

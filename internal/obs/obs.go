@@ -1,6 +1,6 @@
 // Package obs is the pipeline-wide observability layer: a lightweight,
 // allocation-conscious metrics registry — counters, gauges, timers and
-// histograms under hierarchical dotted keys such as "store.pool.hits",
+// HDR histograms under hierarchical dotted keys such as "store.pool.hits",
 // "extsort.runs.spilled" or "cube.buc.passes" — plus a per-run Trace of
 // phase spans (match → sort → cube passes) carrying wall time and peak
 // estimated memory.
@@ -21,7 +21,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -117,85 +116,6 @@ func (t *Timer) Total() time.Duration {
 	return time.Duration(t.total.Load())
 }
 
-// histBuckets is the number of power-of-two histogram buckets; bucket i
-// counts values v with bits.Len64(v) == i, i.e. bucket 0 holds 0, bucket
-// i>0 holds [2^(i-1), 2^i).
-const histBuckets = 64
-
-// Histogram counts int64 observations in power-of-two buckets — enough
-// resolution for byte sizes, row counts and fan-outs without per-value
-// allocation.
-type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sum     int64
-	buckets [histBuckets + 1]int64
-}
-
-// Observe folds one value into the histogram; negative values clamp to 0.
-// Safe on a nil receiver.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	b := bits.Len64(uint64(v))
-	h.mu.Lock()
-	h.count++
-	h.sum += v
-	h.buckets[b]++
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile extracts the q-quantile as the inclusive upper bound of the
-// bucket holding the ceil(q*count)-th smallest observation. Because the
-// buckets are whole powers of two, the result can overshoot the exact
-// sorted-sample quantile by up to 2x at the tail — acceptable for the
-// magnitude counters this type serves (byte sizes, fan-outs), but not
-// for latency SLOs: route latency keys to the HDR type instead, whose
-// error is bounded below 0.4%. TestHistogramQuantileErrorBound pins this
-// bound.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	rank := int64(q*float64(h.count) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
-	var cum int64
-	for b, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			if b >= histBuckets {
-				return 1<<63 - 1
-			}
-			return int64(1)<<uint(b) - 1
-		}
-	}
-	return 0
-}
-
 // Registry is a named collection of metrics and a trace of phase spans.
 // The zero value is not usable; call New. All methods are safe for
 // concurrent use and safe on a nil receiver (returning nil handles).
@@ -204,7 +124,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
-	hists    map[string]*Histogram
 	hdrs     map[string]*HDR
 	spans    []SpanRecord
 	start    time.Time
@@ -216,7 +135,6 @@ func New() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		timers:   map[string]*Timer{},
-		hists:    map[string]*Histogram{},
 		hdrs:     map[string]*HDR{},
 		start:    time.Now(),
 	}
@@ -268,22 +186,6 @@ func (r *Registry) Timer(name string) *Timer {
 		r.timers[name] = t
 	}
 	return t
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use. A nil registry returns a nil (no-op) handle.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Span is an in-flight phase of the run trace. End records it; spans may
@@ -346,23 +248,14 @@ type TimerSnapshot struct {
 	MaxNS   int64 `json:"max_ns"`
 }
 
-// HistogramSnapshot is the exported state of one histogram; Buckets maps
-// each non-empty bucket's inclusive upper bound to its count.
-type HistogramSnapshot struct {
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Buckets map[string]int64 `json:"buckets"`
-}
-
 // Snapshot is a point-in-time copy of everything the registry holds, in
 // the machine-readable shape the -metrics flag emits.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// HDR carries the latency histograms' quantile summaries (p50..p999
-	// in observed units, nanoseconds by convention).
+	Counters map[string]int64         `json:"counters"`
+	Gauges   map[string]int64         `json:"gauges,omitempty"`
+	Timers   map[string]TimerSnapshot `json:"timers,omitempty"`
+	// HDR carries the histograms' quantile summaries (p50..p999 in
+	// observed units; nanoseconds by convention for latency keys).
 	HDR   map[string]HDRStats `json:"hdr,omitempty"`
 	Spans []SpanRecord        `json:"spans,omitempty"`
 }
@@ -395,20 +288,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	if len(r.hists) > 0 {
-		snap.Histograms = map[string]HistogramSnapshot{}
-		for k, h := range r.hists {
-			h.mu.Lock()
-			hs := HistogramSnapshot{Count: h.count, Sum: h.sum, Buckets: map[string]int64{}}
-			for b, n := range h.buckets {
-				if n > 0 {
-					hs.Buckets[bucketLabel(b)] = n
-				}
-			}
-			h.mu.Unlock()
-			snap.Histograms[k] = hs
-		}
-	}
 	if len(r.hdrs) > 0 {
 		snap.HDR = map[string]HDRStats{}
 		for k, h := range r.hdrs {
@@ -423,31 +302,6 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	return snap
-}
-
-// bucketLabel renders a histogram bucket's inclusive upper bound.
-func bucketLabel(b int) string {
-	if b >= histBuckets {
-		return "inf"
-	}
-	// Upper bound of bucket b is 2^b - 1 (bucket 0 holds exactly 0).
-	v := uint64(1)<<uint(b) - 1
-	return u64str(v)
-}
-
-// u64str formats without fmt to keep the package dependency-light.
-func u64str(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // WriteJSON writes the snapshot as indented JSON (keys sorted, so output

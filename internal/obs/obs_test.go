@@ -36,15 +36,6 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 		t.Errorf("timer count=%d total=%v", tm.Count(), tm.Total())
 	}
 
-	h := r.Histogram("extsort.run.bytes")
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(1000)
-	h.Observe(-5) // clamps to 0
-	if h.Count() != 4 {
-		t.Errorf("histogram count = %d, want 4", h.Count())
-	}
-
 	snap := r.Snapshot()
 	if snap.Counters["store.pool.hits"] != 4 {
 		t.Errorf("snapshot counter = %d", snap.Counters["store.pool.hits"])
@@ -55,14 +46,6 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 	ts := snap.Timers["phase.sort"]
 	if ts.Count != 2 || ts.MaxNS != int64(5*time.Millisecond) {
 		t.Errorf("snapshot timer = %+v", ts)
-	}
-	hs := snap.Histograms["extsort.run.bytes"]
-	if hs.Count != 4 || hs.Sum != 1001 {
-		t.Errorf("snapshot histogram = %+v", hs)
-	}
-	// 0 and -5 land in bucket "0", 1 in "1", 1000 in "1023".
-	if hs.Buckets["0"] != 2 || hs.Buckets["1"] != 1 || hs.Buckets["1023"] != 1 {
-		t.Errorf("histogram buckets = %v", hs.Buckets)
 	}
 }
 
@@ -117,7 +100,7 @@ func TestNilRegistryIsFreeOfAllocations(t *testing.T) {
 		r.Gauge("g").Set(7)
 		r.Gauge("g").SetMax(9)
 		r.Timer("t").Observe(time.Second)
-		r.Histogram("h").Observe(123)
+		r.HDR("h").Observe(123)
 		sp := r.Span("phase")
 		sp.SetPeakBytes(1)
 		sp.End()
@@ -127,7 +110,7 @@ func TestNilRegistryIsFreeOfAllocations(t *testing.T) {
 	}
 	// Nil handles read as zero.
 	if r.Counter("x").Value() != 0 || r.Gauge("x").Value() != 0 ||
-		r.Timer("x").Count() != 0 || r.Histogram("x").Count() != 0 {
+		r.Timer("x").Count() != 0 || r.HDR("x").Count() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	if got := r.Snapshot(); len(got.Counters) != 0 {
@@ -161,7 +144,7 @@ func TestConcurrentUse(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").SetMax(int64(i))
 				r.Timer("t").Observe(time.Duration(i))
-				r.Histogram("h").Observe(int64(i))
+				r.HDR("h").Observe(int64(i))
 			}
 			r.Span("s").End()
 		}()
@@ -174,8 +157,8 @@ func TestConcurrentUse(t *testing.T) {
 	if snap.Gauges["g"] != 999 {
 		t.Errorf("concurrent gauge max = %d, want 999", snap.Gauges["g"])
 	}
-	if snap.Timers["t"].Count != 8000 || snap.Histograms["h"].Count != 8000 {
-		t.Errorf("concurrent timer/histogram = %+v / %+v", snap.Timers["t"], snap.Histograms["h"])
+	if snap.Timers["t"].Count != 8000 || snap.HDR["h"].Count != 8000 {
+		t.Errorf("concurrent timer/histogram = %+v / %+v", snap.Timers["t"], snap.HDR["h"])
 	}
 	if len(snap.Spans) != 8 {
 		t.Errorf("concurrent spans = %d, want 8", len(snap.Spans))

@@ -61,7 +61,7 @@ func TestDifferentialFaultServing(t *testing.T) {
 					inj := fault.New(fault.Config{Seed: seed, CorruptEvery: 7, ShortEvery: 9})
 					inj.Observe(reg)
 					s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{
-						Registry: reg, Views: ds.views, BlockCells: 16, CacheBlocks: -1,
+						Registry: reg, Views: ds.views, BlockCells: 16, CacheBytes: -1,
 						Fault: inj, Retries: 8,
 					})
 					if err != nil {
@@ -136,7 +136,7 @@ func TestDegradedServingLadder(t *testing.T) {
 	lat, set, _ := treebankWorkload(t, 47, 120, cleanAxes(2))
 	reg := obs.New()
 	path := filepath.Join(t.TempDir(), "cube.x3ci")
-	s, err := Build(path, lat, set, Options{Registry: reg, BlockCells: 8, CacheBlocks: -1, Retries: -1})
+	s, err := Build(path, lat, set, Options{Registry: reg, BlockCells: 8, CacheBytes: -1, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

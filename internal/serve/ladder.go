@@ -661,18 +661,11 @@ func (s *Store) CompactLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-s.compactCh:
-			if err := s.compactLocked2(ctx); err != nil && !isCancellation(err) {
+			if err := s.Compact(ctx); err != nil && !isCancellation(err) {
 				s.reg.Counter("compact.errors").Inc()
 			}
 		}
 	}
-}
-
-// compactLocked2 is Compact without the ladder-mode guard, for the loop.
-func (s *Store) compactLocked2(ctx context.Context) error {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	return s.compactLocked(ctx)
 }
 
 // refreshLadder is RefreshDoc for ladder stores: the document rides the

@@ -32,7 +32,7 @@ func TestConcurrentLadderMaintenance(t *testing.T) {
 
 	reg := obs.New()
 	s, err := BuildDir(t.TempDir(), fxLat, baseSet, Options{
-		Registry: reg, Views: 3, BlockCells: 16, CacheBlocks: 32,
+		Registry: reg, Views: 3, BlockCells: 16, CacheBytes: 512 << 10,
 		FlushCells: 32, CompactAfter: 2,
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 	lat, set, _ := treebankWorkload(t, 31, 60, axes)
 	reg := obs.New()
 	s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set,
-		Options{Registry: reg, Views: 3, BlockCells: 16, CacheBlocks: 32})
+		Options{Registry: reg, Views: 3, BlockCells: 16, CacheBytes: 512 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

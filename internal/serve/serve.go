@@ -1,6 +1,6 @@
 // Package serve is the materialized-cube serving layer: it turns a
 // computed relaxed cube into an answerable store. A Store owns an indexed
-// cell file (internal/cellfile v2) holding the materialized cuboids, the
+// cell file (internal/cellfile) holding the materialized cuboids, the
 // base fact table, and the summarizability properties; a query planner
 // (planner.go) answers point, slice and roll-up queries by routing each
 // target cuboid to the cheapest materialized cuboid it can be *safely*
@@ -54,13 +54,10 @@ type Options struct {
 	// materialized set adapts to the workload. Takes precedence over
 	// Views.
 	SpaceBudget int64
-	// CacheBlocks sizes the LRU block cache in nominal uncompressed
-	// blocks (default 64; negative disables caching). CacheBytes takes
-	// precedence when set.
-	CacheBlocks int
-	// CacheBytes > 0 sizes the LRU block cache by encoded block bytes —
-	// the native unit since cellfile v4: compressed blocks are charged
-	// their on-disk length, so compression directly buys residency.
+	// CacheBytes sizes the LRU block cache by encoded block bytes:
+	// compressed blocks are charged their on-disk length, so compression
+	// directly buys residency. 0 selects the default of
+	// 64*cellfile.DefaultBlockBytes; negative disables caching.
 	CacheBytes int64
 	// BlockCells overrides the indexed file's block granularity
 	// (0 = cellfile.DefaultBlockCells).
@@ -218,17 +215,12 @@ func newStore(path string, lat *lattice.Lattice, base *match.Set, props cube.Pro
 		props:       props,
 		measured:    measured,
 	}
-	switch {
-	case opt.CacheBytes > 0:
-		s.cache = cellfile.NewBlockCacheBytes(opt.CacheBytes)
-	case opt.CacheBlocks >= 0:
-		n := opt.CacheBlocks
-		if n == 0 {
-			n = 64
+	if opt.CacheBytes >= 0 {
+		budget := opt.CacheBytes
+		if budget == 0 {
+			budget = 64 * cellfile.DefaultBlockBytes
 		}
-		s.cache = cellfile.NewBlockCache(n)
-	}
-	if s.cache != nil {
+		s.cache = cellfile.NewBlockCacheBytes(budget)
 		s.cache.Observe(opt.Registry)
 	}
 	return s

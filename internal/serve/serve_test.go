@@ -145,7 +145,7 @@ func TestBlockCacheHits(t *testing.T) {
 	lat, set, _ := treebankWorkload(t, 5, 200, cleanAxes(2))
 	reg := obs.New()
 	s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set,
-		Options{Registry: reg, BlockCells: 16, CacheBlocks: 128})
+		Options{Registry: reg, BlockCells: 16, CacheBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,12 +171,6 @@ func TestCrashSweepLadderMaintenance(t *testing.T) {
 			if d, m := s2.Generations(); d != 0 || m != 0 {
 				t.Fatalf("surviving burst left %d deltas, %d memtable cells", d, m)
 			}
-			// The sweep's flush and compaction writes all went through the
-			// default (v4 columnar) encoder: the crash points cover the v4
-			// write path, and what survives is a v4 file.
-			if got := s2.rdr.Version(); got != 4 {
-				t.Fatalf("surviving compacted base is v%d, want v4", got)
-			}
 			if got := answerSnapshot(t, s2); !sameSnapshot(got, fx.postSnap) {
 				t.Fatal("surviving burst does not serve the post-append oracle")
 			}
