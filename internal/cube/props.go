@@ -62,7 +62,29 @@ func MeasureProps(lat *lattice.Lattice, src Source) (*MeasuredProps, error) {
 		m.dis = append(m.dis, dis)
 		m.cov = append(m.cov, cov)
 	}
-	err := src.Each(func(f *match.Fact) error {
+	if err := m.observe(src); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Absorb returns a copy of m ANDed with what src alone shows; m itself
+// is unchanged. Both properties are universal over facts, so inserting
+// facts can only flip one from true to false: MeasureProps(A).Absorb(B)
+// equals MeasureProps(A∪B) on every (axis, state), at the cost of
+// scanning B only. That is how a store keeps measured properties exact
+// under appends without re-scanning its corpus.
+func (m *MeasuredProps) Absorb(src Source) (*MeasuredProps, error) {
+	n := &MeasuredProps{dis: cloneRows(m.dis), cov: cloneRows(m.cov)}
+	if err := n.observe(src); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// observe clears every property a fact of src violates.
+func (m *MeasuredProps) observe(src Source) error {
+	return src.Each(func(f *match.Fact) error {
 		for a := range f.Axes {
 			for s := range f.Axes[a] {
 				n := len(f.Axes[a][s])
@@ -76,10 +98,14 @@ func MeasureProps(lat *lattice.Lattice, src Source) (*MeasuredProps, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+func cloneRows(rows [][]bool) [][]bool {
+	out := make([][]bool, len(rows))
+	for i, r := range rows {
+		out[i] = append([]bool(nil), r...)
 	}
-	return m, nil
+	return out
 }
 
 var _ Props = (*MeasuredProps)(nil)

@@ -53,6 +53,17 @@ type Set struct {
 // NumFacts returns the number of facts.
 func (s *Set) NumFacts() int { return len(s.Facts) }
 
+// Clone returns a copy of s that can grow independently of it: fresh
+// dictionaries holding the same values in ID order, and a copied fact
+// slice. Fact records are immutable and stay shared.
+func (s *Set) Clone() *Set {
+	dicts := make([]*Dict, len(s.Dicts))
+	for i, d := range s.Dicts {
+		dicts[i] = d.clone()
+	}
+	return &Set{Lattice: s.Lattice, Dicts: dicts, Facts: append([]*Fact(nil), s.Facts...)}
+}
+
 // Each calls fn for every fact in order; it implements the streaming
 // source interface the cube algorithms consume, so in-memory sets and
 // on-disk match files are interchangeable.

@@ -250,6 +250,84 @@ func TestCrashSafetyDuringRefresh(t *testing.T) {
 	}
 }
 
+// TestAppendWALErrorFaultLeavesStoreUnchanged injects an error (not a
+// crash) into the WAL write of an append that introduces a new author.
+// The append must fail explicitly and leave the live dictionaries and
+// fact count untouched — staging interns into overlays that only a
+// durable append commits — so the next append, with another new author,
+// numbers its value exactly as recovery will. After Close and OpenDir
+// all 16 cuboids are byte-equal to the oracle, and the recovered
+// dictionaries map every value to the live store's ID.
+func TestAppendWALErrorFaultLeavesStoreUnchanged(t *testing.T) {
+	ds := ladderDatasets()[1]
+	lat := ds.lat(t)
+	if lat.Size() != 16 {
+		t.Fatalf("DBLP lattice has %d cuboids, want 16", lat.Size())
+	}
+	ctx := context.Background()
+	oracle := newLadderOracle(t, lat)
+	baseDoc := ds.doc(5)
+	dir := t.TempDir()
+	opt := Options{Views: ds.views, BlockCells: 16, FlushCells: -1, CompactAfter: -1}
+	s, err := BuildDir(dir, lat, oracle.add(t, baseDoc), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens, facts := dictLens(s), s.NumFacts()
+
+	failed := articleDoc(t, "journals/j1/fault-a", "Fault Author A", "Journal 1", 1999)
+	s.walW.SetFault(fault.New(fault.Config{Seed: 1, ErrEvery: 1}))
+	_, err = s.Append(ctx, docBytes(t, failed))
+	s.walW.SetFault(nil)
+	if !fault.IsInjected(err) {
+		t.Fatalf("append under a failing WAL: %v, want an injected fault", err)
+	}
+	if got := dictLens(s); fmt.Sprint(got) != fmt.Sprint(lens) {
+		t.Fatalf("failed append changed dictionary lengths %v -> %v", lens, got)
+	}
+	if got := s.NumFacts(); got != facts {
+		t.Fatalf("failed append changed the fact count %d -> %d", facts, got)
+	}
+
+	next := articleDoc(t, "journals/j2/fault-b", "Fault Author B", "Journal 2", 2001)
+	oracle.add(t, next)
+	if _, err := s.Append(ctx, docBytes(t, next)); err != nil {
+		t.Fatalf("append after the fault cleared: %v", err)
+	}
+	if id, ok := s.base.Dicts[0].Lookup("Fault Author B"); !ok || int(id) != lens[0] {
+		t.Fatalf("new author numbered %d (found %v), want %d — the failed append leaked an ID", id, ok, lens[0])
+	}
+	want := oracleSnapshot(t, lat, oracle.result(t))
+	if !sameSnapshot(answerSnapshot(t, s), want) {
+		t.Fatal("live store differs from the oracle after a failed append")
+	}
+	live := make([][]string, len(s.base.Dicts))
+	for a, d := range s.base.Dicts {
+		live[a] = append([]string(nil), d.Values()...)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recBase, err := match.Evaluate(baseDoc, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenDir(dir, lat, recBase, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !sameSnapshot(answerSnapshot(t, s2), want) {
+		t.Fatal("recovered store differs from the oracle")
+	}
+	for a, d := range s2.base.Dicts {
+		if fmt.Sprint(d.Values()) != fmt.Sprint(live[a]) {
+			t.Fatalf("axis %d: recovered dictionary %v, live %v", a, d.Values(), live[a])
+		}
+	}
+}
+
 // TestServeCancellation pins the contract: a cancelled or expired context
 // aborts answers, wire requests and refreshes with an error wrapping the
 // context's, and a nil context means no deadline.

@@ -51,8 +51,11 @@ const defaultCompactAfter = 4
 
 // BuildDir computes the cube of lat over base and materializes it as a
 // delta-ladder store in dir: a base generation cell file, a manifest,
-// and an empty write-ahead log. The returned store accepts Append.
+// and an empty write-ahead log. The returned store accepts Append. The
+// store works on its own clone of base, which appends extend in place;
+// the caller's set is never modified.
 func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Store, error) {
+	base = base.Clone()
 	res, props, measured, keep, decisions, err := computeCube(lat, base, opt)
 	if err != nil {
 		return nil, err
@@ -100,7 +103,8 @@ func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*
 // dictionaries and base facts deterministically and folding the records
 // past the manifest's Applied horizon back into the memtable. base must
 // be the same base fact set the store was built over (the cell files
-// hold cube cells, not facts; the fact table is re-derived). A torn WAL
+// hold cube cells, not facts; the fact table is re-derived); like
+// BuildDir, the store works on its own clone of it. A torn WAL
 // tail — a crash mid-append — is cut at the last clean record.
 func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Store, error) {
 	if lat.Query.MinSupport > 1 {
@@ -131,11 +135,10 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 		s.deltas = append(s.deltas, d)
 	}
 
-	// Replay the WAL over a private dictionary clone: value IDs are
-	// assigned in replay order, reproducing exactly the IDs the live
-	// store interned when the records were appended.
-	dicts := cloneDicts(base.Dicts)
-	facts := append([]*match.Fact(nil), base.Facts...)
+	// Replay the WAL over a private clone of base: value IDs are assigned
+	// in replay order, reproducing exactly the IDs the live store interned
+	// when the records were appended.
+	set := base.Clone()
 	s.mem = cube.NewDelta(lat, man.Keep)
 	walPath := filepath.Join(dir, walName)
 	res, err := wal.Replay(walPath, wal.Options{Fault: opt.Fault, Registry: opt.Registry}, func(r wal.Record) error {
@@ -143,11 +146,11 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 		if err != nil {
 			return fmt.Errorf("serve: wal record %d: %w", r.Seq, err)
 		}
-		delta, err := match.EvaluateWith(doc, lat, dicts)
+		delta, err := match.EvaluateWith(doc, lat, set.Dicts)
 		if err != nil {
 			return fmt.Errorf("serve: wal record %d: %w", r.Seq, err)
 		}
-		facts = append(facts, delta.Facts...)
+		set.Facts = append(set.Facts, delta.Facts...)
 		if r.Seq >= man.Applied {
 			if _, err := s.mem.Absorb(delta); err != nil {
 				return err
@@ -175,8 +178,7 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 	if s.nextSeq == 0 {
 		s.nextSeq = 1
 	}
-	s.base = &match.Set{Lattice: lat, Dicts: dicts, Facts: facts}
-	s.dicts = dicts
+	s.base = set
 
 	if s.measured {
 		props, err := cube.MeasureProps(lat, s.base)
@@ -231,19 +233,6 @@ func sortedKeep(keep map[uint32]bool) []uint32 {
 	return out
 }
 
-// cloneDicts deep-copies per-axis dictionaries, preserving ID order.
-func cloneDicts(dicts []*match.Dict) []*match.Dict {
-	out := make([]*match.Dict, len(dicts))
-	for i, d := range dicts {
-		nd := match.NewDict()
-		for _, v := range d.Values() {
-			nd.ID(v)
-		}
-		out[i] = nd
-	}
-	return out
-}
-
 // Dir returns the store's generation directory ("" for single-file
 // stores built with Build).
 func (s *Store) Dir() string { return s.dir }
@@ -268,20 +257,26 @@ func (s *Store) NextSeq() uint64 {
 }
 
 // staged is a fully evaluated append, ready to commit: every fallible
-// step (parse, dictionary interning, evaluation, property measurement)
+// step (parse, dictionary interning, evaluation, property update)
 // happens before the WAL write, so once the record is durable the
 // in-memory commit cannot fail and the recovered state always equals the
-// live post-append state.
+// live post-append state. delta.Dicts are overlays over the store's
+// dictionaries holding the document's new values; nothing live changes
+// until commit publishes them, so a failed WAL write leaves the
+// dictionaries exactly as recovery will rebuild them.
 type staged struct {
 	body  []byte
 	delta *match.Set
-	dicts []*match.Dict
 	base  *match.Set
 	props cube.Props
 }
 
-// stage parses and evaluates an appended document against a clone of the
-// store's current dictionaries.
+// stage parses and evaluates an appended document in O(document): the
+// document is matched against overlays of the store's dictionaries, the
+// new base shares the old fact slice's backing array (extended past the
+// length readers hold, so they never see the tail), and measured
+// properties absorb only the delta. stage and commit both run under
+// refreshMu, so the dictionaries cannot grow between them.
 func (s *Store) stage(body []byte) (*staged, error) {
 	doc, err := xmltree.Parse(bytes.NewReader(body))
 	if err != nil {
@@ -290,27 +285,26 @@ func (s *Store) stage(body []byte) (*staged, error) {
 	s.mu.RLock()
 	oldBase := s.base
 	s.mu.RUnlock()
-	dicts := cloneDicts(oldBase.Dicts)
-	delta, err := match.EvaluateWith(doc, s.lat, dicts)
+	overlays := make([]*match.Dict, len(oldBase.Dicts))
+	for i, d := range oldBase.Dicts {
+		overlays[i] = d.Overlay()
+	}
+	delta, err := match.EvaluateWith(doc, s.lat, overlays)
 	if err != nil {
 		return nil, err
 	}
-	facts := make([]*match.Fact, 0, len(oldBase.Facts)+len(delta.Facts))
-	facts = append(facts, oldBase.Facts...)
-	facts = append(facts, delta.Facts...)
-	newBase := &match.Set{Lattice: s.lat, Dicts: dicts, Facts: facts}
-	props := s.props
-	if s.measured {
-		mp, err := cube.MeasureProps(s.lat, newBase)
-		if err != nil {
-			return nil, err
-		}
-		props = mp
+	props, err := s.absorbProps(delta)
+	if err != nil {
+		return nil, err
 	}
-	return &staged{body: body, delta: delta, dicts: dicts, base: newBase, props: props}, nil
+	newBase := &match.Set{Lattice: s.lat, Dicts: oldBase.Dicts, Facts: append(oldBase.Facts, delta.Facts...)}
+	return &staged{body: body, delta: delta, base: newBase, props: props}, nil
 }
 
-// commit folds a staged append into the live state under the store lock.
+// commit folds a staged append into the live state under the store lock:
+// the memtable absorbs the delta, the overlays' new values join the live
+// dictionaries, and the extended base and properties are published —
+// one critical section, so readers see all of it or none.
 func (s *Store) commit(st *staged) (int64, error) {
 	s.mu.Lock()
 	//x3:nolint(lockhold) Delta.Absorb's blocking summary comes from file-backed Source.Each implementations; the staged delta built in stage() always carries the in-memory match.Set, so this call never touches a file
@@ -319,8 +313,15 @@ func (s *Store) commit(st *staged) (int64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
+	for _, d := range st.delta.Dicts {
+		// Cannot fail: refreshMu keeps the dictionaries from growing
+		// between stage and commit.
+		if err := d.Commit(); err != nil {
+			s.mu.Unlock()
+			return 0, fmt.Errorf("serve: %w", err)
+		}
+	}
 	s.base = st.base
-	s.dicts = st.dicts
 	s.props = st.props
 	s.mu.Unlock()
 	s.nextSeq++

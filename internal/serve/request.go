@@ -148,29 +148,11 @@ func (s *Store) AnswerCells(ctx context.Context, req Request) (*CellAnswer, erro
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	q := Query{Point: p}
-	dicts := s.Dicts()
-	unseen := false
-	if len(req.Where) > 0 {
-		q.Where = make(map[int]match.ValueID, len(req.Where))
-		// Sorted order, not map order: the first resolution failure is
-		// the one the client sees, so it must be the same every run.
-		for _, v := range sortedVars(req.Where) {
-			val := req.Where[v]
-			a, err := s.axisByVar(v)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-			}
-			if s.lat.Deleted(p, a) {
-				return nil, fmt.Errorf("%w: axis %s is deleted at %s", ErrBadRequest, v, s.lat.Label(p))
-			}
-			id, ok := dicts[a].Lookup(val)
-			if !ok {
-				unseen = true
-				continue
-			}
-			q.Where[a] = id
-		}
+	where, unseen, err := s.resolveWhere(p, req.Where)
+	if err != nil {
+		return nil, err
 	}
+	q.Where = where
 	ca := &CellAnswer{Cuboid: s.lat.Label(p)}
 	if unseen {
 		ca.Plan = PlanDirect
@@ -186,22 +168,59 @@ func (s *Store) AnswerCells(ctx context.Context, req Request) (*CellAnswer, erro
 	if ans.From != nil {
 		ca.From = s.lat.Label(ans.From)
 	}
-	live := s.lat.LiveAxes(p)
-	// Re-snapshot the dictionaries for decoding: an append publishes its
-	// new cells and its grown dictionaries under one critical section, so
-	// a dictionary view taken after Answer returns can decode every cell
-	// Answer saw — the entry snapshot above may predate cells appended
-	// while the query ran.
-	dicts = s.Dicts()
-	ca.Rows = make([]CellRow, len(ans.Rows))
-	for i, r := range ans.Rows {
+	ca.Rows = s.decodeRows(s.lat.LiveAxes(p), ans.Rows)
+	return ca, nil
+}
+
+// resolveWhere maps a request's pinned values to ValueIDs at point p.
+// unseen reports a value no dictionary holds (no group can match it).
+// Dictionaries grow in place under mu, so lookups hold mu.RLock.
+func (s *Store) resolveWhere(p lattice.Point, where map[string]string) (map[int]match.ValueID, bool, error) {
+	if len(where) == 0 {
+		return nil, false, nil
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	dicts := s.base.Dicts
+	out := make(map[int]match.ValueID, len(where))
+	unseen := false
+	// Sorted order, not map order: the first resolution failure is the
+	// one the client sees, so it must be the same every run.
+	for _, v := range sortedVars(where) {
+		a, err := s.axisByVar(v)
+		if err != nil {
+			return nil, false, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
+		if s.lat.Deleted(p, a) {
+			return nil, false, fmt.Errorf("%w: axis %s is deleted at %s", ErrBadRequest, v, s.lat.Label(p))
+		}
+		id, ok := dicts[a].Lookup(where[v])
+		if !ok {
+			unseen = true
+			continue
+		}
+		out[a] = id
+	}
+	return out, unseen, nil
+}
+
+// decodeRows turns answered rows into decoded values. It runs after
+// Answer returns, under its own mu.RLock: an append publishes its cells
+// and its dictionary values in one critical section, so every cell
+// Answer saw decodes, even one appended while the query ran.
+func (s *Store) decodeRows(live []int, rows []Row) []CellRow {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	dicts := s.base.Dicts
+	out := make([]CellRow, len(rows))
+	for i, r := range rows {
 		vals := make([]string, len(r.Key))
 		for j, id := range r.Key {
 			vals[j] = dicts[live[j]].Value(id)
 		}
-		ca.Rows[i] = CellRow{Values: vals, State: r.State}
+		out[i] = CellRow{Values: vals, State: r.State}
 	}
-	return ca, nil
+	return out
 }
 
 // Finalize renders a mergeable answer into the wire-level response form,

@@ -63,7 +63,7 @@ type Options struct {
 	// (0 = cellfile.DefaultBlockCells).
 	BlockCells int
 	// Props certifies summarizability; nil measures the properties from
-	// the base facts (and re-measures them on every refresh).
+	// the base facts once and folds every refresh's new facts into them.
 	Props cube.Props
 	// Registry receives the serve.* counters and timers; nil disables
 	// observability.
@@ -128,10 +128,14 @@ type Store struct {
 	rdr       *cellfile.IndexedReader
 	deltas    []*cellfile.IndexedReader // ladder mode: delta generations, oldest first
 	mem       *cube.Delta               // ladder mode: unflushed cells
+	// base is the store's own fact table; its Dicts are the only copy of
+	// the dictionaries. A ladder append extends both in place: the fact
+	// slice grows past the length readers hold (they never read the
+	// tail), and the dictionaries gain values only in commit, under
+	// refreshMu plus mu.Lock. Readers touch dictionaries under mu.RLock.
 	base      *match.Set
-	dicts     []*match.Dict
 	props     cube.Props
-	measured  bool // props are data-measured: re-measure on refresh
+	measured  bool // props are data-measured: absorb each refresh's facts
 	decisions []costmodel.Decision
 }
 
@@ -211,7 +215,6 @@ func newStore(path string, lat *lattice.Lattice, base *match.Set, props cube.Pro
 		spaceBudget: opt.SpaceBudget,
 		qcounts:     make([]int64, lat.Size()),
 		base:        base,
-		dicts:       base.Dicts,
 		props:       props,
 		measured:    measured,
 	}
@@ -355,15 +358,6 @@ func (s *Store) Path() string {
 	return s.path
 }
 
-// Dicts returns the store's current per-axis dictionaries. The returned
-// dictionaries are replaced, never mutated, by a refresh; holders see a
-// consistent (possibly slightly stale) view.
-func (s *Store) Dicts() []*match.Dict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dicts
-}
-
 // DataBytes returns the encoded size of the store's cell blocks — for
 // ladder stores, summed across the base and every delta generation. This
 // is the quantity a SpaceBudget constrains.
@@ -482,23 +476,16 @@ func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, e
 	oldRdr, oldBase := s.rdr, s.base
 	s.mu.RUnlock()
 
-	// Work on cloned dictionaries: match evaluation interns new values,
-	// and the live dictionaries must stay immutable under readers.
-	dicts := make([]*match.Dict, len(oldBase.Dicts))
-	for i, d := range oldBase.Dicts {
-		nd := match.NewDict()
-		for _, v := range d.Values() {
-			nd.ID(v)
-		}
-		dicts[i] = nd
-	}
-	delta, err := match.EvaluateWith(doc, s.lat, dicts)
+	// Work on a clone: match evaluation interns new values, and the live
+	// dictionaries must not change until the swap below.
+	newBase := oldBase.Clone()
+	delta, err := match.EvaluateWith(doc, s.lat, newBase.Dicts)
 	if err != nil {
 		return 0, err
 	}
 
 	// Load the materialized cuboids back into a Result and maintain it.
-	res := cube.NewResult(s.lat, dicts)
+	res := cube.NewResult(s.lat, newBase.Dicts)
 	keep := make(map[uint32]bool)
 	for _, pid := range oldRdr.Points() {
 		keep[pid] = true
@@ -518,18 +505,10 @@ func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, e
 		return 0, err
 	}
 
-	facts := make([]*match.Fact, 0, len(oldBase.Facts)+len(delta.Facts))
-	facts = append(facts, oldBase.Facts...)
-	facts = append(facts, delta.Facts...)
-	newBase := &match.Set{Lattice: s.lat, Dicts: dicts, Facts: facts}
-
-	props := s.props
-	if s.measured {
-		mp, err := cube.MeasureProps(s.lat, newBase)
-		if err != nil {
-			return 0, err
-		}
-		props = mp
+	newBase.Facts = append(newBase.Facts, delta.Facts...)
+	props, err := s.absorbProps(delta)
+	if err != nil {
+		return 0, err
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -539,15 +518,11 @@ func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, e
 	if err != nil {
 		return 0, err
 	}
-	newRdr.Observe(s.reg)
-	if s.cache != nil {
-		newRdr.SetCache(s.cache)
-	}
+	s.adoptReader(newRdr)
 
 	s.mu.Lock()
 	s.rdr = newRdr
 	s.base = newBase
-	s.dicts = dicts
 	s.props = props
 	s.mu.Unlock()
 	s.bestEffort(oldRdr.Close())
@@ -555,6 +530,21 @@ func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, e
 	s.reg.Counter("serve.refresh.runs").Inc()
 	s.reg.Counter("serve.refresh.added").Add(added)
 	return added, nil
+}
+
+// absorbProps returns the properties that hold once delta's facts join
+// the store: measured properties are ANDed with what delta shows, in
+// O(delta) (cube.MeasuredProps.Absorb); certified ones stand as given.
+func (s *Store) absorbProps(delta *match.Set) (cube.Props, error) {
+	mp, ok := s.props.(*cube.MeasuredProps)
+	if !s.measured || !ok {
+		return s.props, nil
+	}
+	next, err := mp.Absorb(delta)
+	if err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // packKey encodes a group key as big-endian bytes (byte order = value

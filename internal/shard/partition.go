@@ -45,8 +45,8 @@ func ShardOf(dicts []*match.Dict, f *match.Fact, n int) int {
 }
 
 // Partition splits base into n disjoint, complete fact subsets by
-// ShardOf. The subsets share base's dictionaries (clone per store before
-// building — see cloneSet) and fact records.
+// ShardOf. The subsets share base's dictionaries and fact records; a
+// store built over one works on its own clone (serve.BuildDir).
 func Partition(base *match.Set, n int) []*match.Set {
 	if n <= 0 {
 		n = 1

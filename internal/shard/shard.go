@@ -232,9 +232,9 @@ func (c *Coordinator) addShard(replicas []Replica) {
 
 // New builds a sharded store under dir: the base facts are partitioned
 // into opt.Shards disjoint subsets and each subset is materialized as
-// opt.Replicas delta-ladder stores at dir/s<i>/r<j>. Every replica gets
-// a private dictionary clone, so replica maintenance never shares
-// mutable state across stores.
+// opt.Replicas delta-ladder stores at dir/s<i>/r<j>. Every replica store
+// clones its partition (serve.BuildDir), so replica maintenance never
+// shares mutable state across stores.
 func New(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	c := newCoordinator(lat, dir, opt)
@@ -243,7 +243,7 @@ func New(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Coord
 		replicas := make([]Replica, opt.Replicas)
 		for ri := 0; ri < opt.Replicas; ri++ {
 			rdir := replicaDir(dir, si, ri)
-			st, err := serve.BuildDir(rdir, lat, cloneSet(part), opt.Store)
+			st, err := serve.BuildDir(rdir, lat, part, opt.Store)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("shard: build s%d/r%d: %w", si, ri, err)
@@ -259,7 +259,7 @@ func New(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Coord
 // Open recovers a sharded store previously built by New under dir: the
 // base facts are re-partitioned with the same hash, and each replica is
 // recovered from its manifest + WAL (serve.OpenDir replays appends over
-// a private dictionary clone).
+// a private clone of the partition).
 func Open(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	c := newCoordinator(lat, dir, opt)
@@ -267,7 +267,7 @@ func Open(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Coor
 	for si, part := range parts {
 		replicas := make([]Replica, opt.Replicas)
 		for ri := 0; ri < opt.Replicas; ri++ {
-			st, err := serve.OpenDir(replicaDir(dir, si, ri), lat, cloneSet(part), opt.Store)
+			st, err := serve.OpenDir(replicaDir(dir, si, ri), lat, part, opt.Store)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("shard: open s%d/r%d: %w", si, ri, err)
@@ -316,23 +316,6 @@ func NewWithReplicas(lat *lattice.Lattice, groups [][]Replica, opt Options) (*Co
 		c.addShard(g)
 	}
 	return c, nil
-}
-
-// cloneSet gives a replica its own dictionaries and fact slice: stores
-// intern appended values into their dictionaries, so replicas must not
-// share them. Fact records themselves are immutable and stay shared.
-func cloneSet(s *match.Set) *match.Set {
-	dicts := make([]*match.Dict, len(s.Dicts))
-	for i, d := range s.Dicts {
-		nd := match.NewDict()
-		for _, v := range d.Values() {
-			nd.ID(v)
-		}
-		dicts[i] = nd
-	}
-	facts := make([]*match.Fact, len(s.Facts))
-	copy(facts, s.Facts)
-	return &match.Set{Lattice: s.Lattice, Dicts: dicts, Facts: facts}
 }
 
 // SetReplicaFault installs (or clears, with nil) the boundary injector
