@@ -54,7 +54,7 @@ fuzz:
 
 # The fault-injection suite under a fixed deterministic schedule: the
 # differential serving sweep with injected corruption/short reads, the
-# crash-point sweeps of refresh, WAL append, flush, compaction and
+# crash-point sweeps of WAL append, flush, compaction and
 # recovery, degraded-ladder serving off a corrupted file, and the
 # injection/retry tests of every storage layer, and the sharded
 # coordinator's differential failure sweep, failover, hedging and

@@ -133,16 +133,23 @@ func TestServerAppendAndGenerations(t *testing.T) {
 	}
 }
 
-// TestServerAppendWithoutLadder pins /append's contract on a single-file
-// store: a clean 400, not a panic or a silent refresh.
+// TestServerAppendWithoutLadder pins the write endpoints' contract on a
+// read-only single-file store: /append and /refresh answer a clean 400,
+// not a panic or a silent rewrite, and the served totals stay put.
 func TestServerAppendWithoutLadder(t *testing.T) {
 	srv, _, _ := startTestServer(t, 0)
-	resp, b := postJSON(t, srv.URL+"/append", refreshBody("x", 2))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/append on a single-file store: HTTP %d: %s", resp.StatusCode, b)
+	base := bottomCount(t, srv.URL)
+	for _, endpoint := range []string{"/append", "/refresh"} {
+		resp, b := postJSON(t, srv.URL+endpoint, refreshBody("x", 2))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s on a single-file store: HTTP %d: %s", endpoint, resp.StatusCode, b)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(b, &e); err != nil || e["code"] != "bad_request" {
+			t.Fatalf("%s error body %s, want code \"bad_request\"", endpoint, b)
+		}
 	}
-	var e map[string]string
-	if err := json.Unmarshal(b, &e); err != nil || e["code"] != "bad_request" {
-		t.Fatalf("/append error body %s, want code \"bad_request\"", b)
+	if got := bottomCount(t, srv.URL); got != base {
+		t.Fatalf("bottom count moved from %d to %d on a read-only store", base, got)
 	}
 }

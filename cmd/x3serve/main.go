@@ -17,7 +17,8 @@
 // and a background compactor merges them back into a single base file.
 // If DIR already holds a manifest the store is recovered from it (the
 // WAL replay rebuilds anything not yet flushed); otherwise it is built
-// fresh from the -xml input.
+// fresh from the -xml input. Without -store the cube is one read-only
+// cell file.
 //
 // With -shards N (N > 1) the facts are partitioned by key hash into N
 // replicated delta-ladder stores under DIR and every query is
@@ -29,8 +30,10 @@
 // Endpoints:
 //
 //	POST /query       {"cuboid":{"$a":"LND"},"where":{"$j":"tods"}} → rows
-//	POST /refresh     XML document body → facts folded into the cube
+//	POST /refresh     XML document body → append, flush and compact
+//	                  (ladder stores only)
 //	POST /append      XML document body → WAL-durable incremental append
+//	                  (ladder stores only)
 //	GET  /generations delta-ladder shape: outstanding deltas, memtable cells
 //	GET  /cuboids     per-cuboid materialization state, query counts, and
 //	                  (under -space-budget) the cost model's decisions

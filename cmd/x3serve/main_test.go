@@ -101,9 +101,17 @@ func bottomCount(t *testing.T, url string) int64 {
 
 // TestServerConcurrentQueriesAndRefresh is the HTTP-level race workload:
 // several goroutines fire mixed point/slice queries while refreshes fold
-// new documents in through the same handler. Run under `make race`.
+// new documents into a delta-ladder store through the same handler. Run
+// under `make race`.
 func TestServerConcurrentQueriesAndRefresh(t *testing.T) {
-	srv, _, reg := startTestServer(t, 5)
+	lat, set := dblpInputs(t)
+	reg := obs.New()
+	store, err := serve.BuildDir(t.TempDir(), lat, set, serve.Options{Registry: reg, Views: 5, BlockCells: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv := serveStore(t, store, reg)
 	base := bottomCount(t, srv.URL)
 	if base <= 0 {
 		t.Fatalf("empty store (bottom count %d)", base)

@@ -30,8 +30,9 @@ var detiterRoots = []detiterRoot{
 	// Cube sink flushes: the batched and locked sinks that serialize
 	// worker output, and every algorithm's cell emission.
 	{"internal/cube", regexp.MustCompile(`\b(Cell|Flush|Close)$`)},
-	// Serving: the full query answer path and the refresh writer.
-	{"internal/serve", regexp.MustCompile(`^Store\.(Answer|ServeRequest|RefreshDoc)$`)},
+	// Serving: the full query answer path, the refresh path (append,
+	// flush and compaction writers) and the base-generation writer.
+	{"internal/serve", regexp.MustCompile(`^(Store\.(Answer|ServeRequest|RefreshDoc)|emitResult)$`)},
 	// The library's own materialization entry.
 	{"", regexp.MustCompile(`^CubeTo`)},
 }

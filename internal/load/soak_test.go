@@ -49,34 +49,43 @@ var soakQueries = []serve.Request{
 
 // buildOracle computes, for every append prefix k (the ladder store's
 // only reachable states, since one goroutine appends sequentially), the
-// canonical answer to every soak query: oracle[k][q]. It replays the
-// same base document and append bodies through a fresh single-file
-// store via the refresh path.
+// canonical answer to every soak query: oracle[k][q]. Each prefix gets a
+// fresh single-file store built over the base document plus appends[:k],
+// so the oracle shares no incremental path with the store under test.
 func buildOracle(t *testing.T, appends [][]byte) [][]string {
 	t.Helper()
-	doc := dataset.DBLP(dataset.DefaultDBLPConfig(40, 7))
 	lat, err := lattice.New(dataset.DBLPQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dicts := make([]*match.Dict, lat.NumAxes())
-	for i := range dicts {
-		dicts[i] = match.NewDict()
+	docs := []*xmltree.Document{dataset.DBLP(dataset.DefaultDBLPConfig(40, 7))}
+	for _, body := range appends {
+		doc, err := xmltree.Parse(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
 	}
-	set, err := match.EvaluateWith(doc, lat, dicts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := serve.Build(filepath.Join(t.TempDir(), "oracle.x3ci"), lat, set,
-		serve.Options{Views: 5, BlockCells: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
 	oracle := make([][]string, len(appends)+1)
 	ctx := context.Background()
-	for k := 0; ; k++ {
+	for k := range oracle {
+		dicts := make([]*match.Dict, lat.NumAxes())
+		for i := range dicts {
+			dicts[i] = match.NewDict()
+		}
+		set := &match.Set{Lattice: lat, Dicts: dicts}
+		for _, doc := range docs[:k+1] {
+			part, err := match.EvaluateWith(doc, lat, dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.Facts = append(set.Facts, part.Facts...)
+		}
+		store, err := serve.Build(filepath.Join(t.TempDir(), "oracle.x3ci"), lat, set,
+			serve.Options{Views: 5, BlockCells: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
 		answers := make([]string, len(soakQueries))
 		for qi, q := range soakQueries {
 			resp, err := store.ServeRequest(ctx, q)
@@ -86,17 +95,11 @@ func buildOracle(t *testing.T, appends [][]byte) [][]string {
 			answers[qi] = canonical(resp)
 		}
 		oracle[k] = answers
-		if k == len(appends) {
-			return oracle
-		}
-		adoc, err := xmltree.Parse(bytes.NewReader(appends[k]))
-		if err != nil {
+		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.RefreshDoc(ctx, adoc); err != nil {
-			t.Fatalf("oracle refresh %d: %v", k, err)
-		}
 	}
+	return oracle
 }
 
 // TestSoakConcurrentQueriesAppendsCompaction is the race-run soak (wired

@@ -198,21 +198,19 @@ func TestDifferentialDeltaLadder(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s2, err := OpenDir(dir, lat, recBase, opt)
-					if err != nil {
-						t.Fatal(err)
+					reopen := func() *Store {
+						s, err := OpenDir(dir, lat, recBase, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return s
 					}
-					defer s2.Close()
+					s2 := reopen()
 					if got, want := s2.NumFacts(), len(oracle.facts); got != want {
 						t.Fatalf("recovered store has %d facts, oracle %d", got, want)
 					}
 					sweepLadder(t, s2, res, plans)
-
-					// Double replay is idempotent: everything in the log is
-					// already applied.
-					if n, err := s2.ReplayWAL(ctx); err != nil || n != 0 {
-						t.Fatalf("second replay applied %d records (err %v), want 0", n, err)
-					}
+					assertIdempotentRecovery(t, s2, reopen)
 				})
 			}
 			t.Logf("%s ladder plan mix: %d direct, %d rollup, %d base",

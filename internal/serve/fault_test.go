@@ -45,61 +45,89 @@ func answerSnapshot(tb testing.TB, s *Store) map[string]string {
 // and served with deterministic corruption and short reads injected into
 // the cell-file read path. Every query must be byte-equal to the oracle or
 // fail with an explicit wrapped sentinel — never a silently wrong cell.
+//
+// The per-family subtests let the indexed path's own retries absorb nearly
+// every fault. The "unretried" leg turns retrying off on smaller blocks,
+// so faults reach the degraded re-scan of roll-up answers too — it must
+// see such an answer, and it must be exact.
 func TestDifferentialFaultServing(t *testing.T) {
+	for _, ds := range diffServeDatasets() {
+		t.Run(ds.name, func(t *testing.T) {
+			faultServingSweep(t, ds, fault.Config{CorruptEvery: 7, ShortEvery: 9}, 16, 8)
+		})
+	}
+	t.Run("unretried", func(t *testing.T) {
+		degradedRollups := 0
+		for _, ds := range diffServeDatasets() {
+			t.Run(ds.name, func(t *testing.T) {
+				degradedRollups += faultServingSweep(t, ds, fault.Config{CorruptEvery: 7}, 8, -1)
+			})
+		}
+		if degradedRollups == 0 {
+			t.Error("no roll-up answer came back degraded — the leg does not reach the roll-up re-scan")
+		}
+	})
+}
+
+// faultServingSweep runs one dataset family of TestDifferentialFaultServing
+// over ten seeds, injecting cfg's faults (cfg.Seed is set per seed), and
+// returns how many roll-up answers came back degraded.
+func faultServingSweep(t *testing.T, ds diffServeDataset, cfg fault.Config, blockCells, retries int) int {
 	const seeds = 10
 	explicitFailure := func(err error) bool {
 		return errors.Is(err, cellfile.ErrCorrupt) || errors.Is(err, cellfile.ErrTruncated) ||
 			fault.IsInjected(err)
 	}
-	for _, ds := range diffServeDatasets() {
-		t.Run(ds.name, func(t *testing.T) {
-			reg := obs.New()
-			var degraded int
-			for seed := int64(1); seed <= seeds; seed++ {
-				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					lat, set := ds.build(t, seed)
-					inj := fault.New(fault.Config{Seed: seed, CorruptEvery: 7, ShortEvery: 9})
-					inj.Observe(reg)
-					s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{
-						Registry: reg, Views: ds.views, BlockCells: 16, CacheBytes: -1,
-						Fault: inj, Retries: 8,
-					})
-					if err != nil {
-						// A build may fail when injection outlasts the open
-						// retries — but only with an explicit sentinel.
-						if !explicitFailure(err) {
-							t.Fatalf("build failed without a sentinel: %v", err)
-						}
-						t.Logf("build failed explicitly: %v", err)
-						return
-					}
-					defer s.Close()
-					oracle, err := cube.RunOracle(lat, set, set.Dicts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, p := range lat.Points() {
-						ans, err := s.Answer(context.Background(), Query{Point: p})
-						if err != nil {
-							if !explicitFailure(err) {
-								t.Fatalf("%s: failed without a sentinel: %v", lat.Label(p), err)
-							}
-							continue
-						}
-						if ans.Degraded {
-							degraded++
-						}
-						assertRowsMatchOracle(t, s, oracle, p, ans)
-					}
-				})
+	reg := obs.New()
+	var degraded, degradedRollups int
+	for seed := int64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			lat, set := ds.build(t, seed)
+			cfg.Seed = seed
+			inj := fault.New(cfg)
+			inj.Observe(reg)
+			s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{
+				Registry: reg, Views: ds.views, BlockCells: blockCells, CacheBytes: -1,
+				Fault: inj, Retries: retries,
+			})
+			if err != nil {
+				// A build may fail when injection outlasts the open
+				// retries — but only with an explicit sentinel.
+				if !explicitFailure(err) {
+					t.Fatalf("build failed without a sentinel: %v", err)
+				}
+				t.Logf("build failed explicitly: %v", err)
+				return
 			}
-			if reg.Counter("fault.injected.corrupt").Value() == 0 {
-				t.Error("the sweep injected no corruption — the harness is not exercising faults")
+			defer s.Close()
+			oracle, err := cube.RunOracle(lat, set, set.Dicts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("%s: %d degraded answers, %d corruptions, %d short reads injected", ds.name, degraded,
-				reg.Counter("fault.injected.corrupt").Value(), reg.Counter("fault.injected.short").Value())
+			for _, p := range lat.Points() {
+				ans, err := s.Answer(context.Background(), Query{Point: p})
+				if err != nil {
+					if !explicitFailure(err) {
+						t.Fatalf("%s: failed without a sentinel: %v", lat.Label(p), err)
+					}
+					continue
+				}
+				if ans.Degraded {
+					degraded++
+					if ans.Plan == PlanRollup {
+						degradedRollups++
+					}
+				}
+				assertRowsMatchOracle(t, s, oracle, p, ans)
+			}
 		})
 	}
+	if reg.Counter("fault.injected.corrupt").Value() == 0 {
+		t.Error("the sweep injected no corruption — the harness is not exercising faults")
+	}
+	t.Logf("%s: %d degraded answers (%d roll-ups), %d corruptions, %d short reads injected", ds.name,
+		degraded, degradedRollups, reg.Counter("fault.injected.corrupt").Value(), reg.Counter("fault.injected.short").Value())
+	return degradedRollups
 }
 
 // assertRowsMatchOracle compares one answer with the oracle cuboid cell by
@@ -179,74 +207,6 @@ func TestDegradedServingLadder(t *testing.T) {
 	}
 	if reg.Counter("serve.degraded.base").Value() == 0 {
 		t.Error("serve.degraded.base did not move")
-	}
-}
-
-// TestCrashSafetyDuringRefresh kills the refresh write path at every
-// injected fault point in turn: after each failed refresh the old
-// generation must keep serving byte-identical answers, and once the sweep
-// lets a refresh through, the store serves the combined data exactly.
-func TestCrashSafetyDuringRefresh(t *testing.T) {
-	axes := mixedAxes()
-	lat, set, _ := treebankWorkload(t, 41, 50, axes)
-	s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{Views: 3, BlockCells: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	baseline := answerSnapshot(t, s)
-
-	delta := dataset.Treebank(dataset.TreebankConfig{Seed: 42, Facts: 25, Axes: axes})
-	deltaSet, err := match.EvaluateWith(delta, lat, set.Dicts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := &match.Set{Lattice: lat, Dicts: set.Dicts,
-		Facts: append(append([]*match.Fact{}, set.Facts...), deltaSet.Facts...)}
-
-	ctx := context.Background()
-	failures := 0
-	for k := 0; ; k++ {
-		if k > 500 {
-			t.Fatalf("refresh did not survive the crash sweep after %d points", k)
-		}
-		s.fault = fault.NewCrash(int64(90+k), int64(k))
-		if _, err := s.RefreshDoc(ctx, delta); err == nil {
-			break
-		}
-		failures++
-		// Old generation intact: every answer byte-identical. The old
-		// reader was opened before the injector existed, so these reads
-		// are clean.
-		s.fault = nil
-		if got := answerSnapshot(t, s); len(got) != len(baseline) {
-			t.Fatalf("crash point %d: snapshot size changed", k)
-		} else {
-			for label, want := range baseline {
-				if got[label] != want {
-					t.Fatalf("crash point %d: cuboid %s changed after a failed refresh", k, label)
-				}
-			}
-		}
-	}
-	if failures == 0 {
-		t.Fatal("the sweep injected no refresh failures")
-	}
-	t.Logf("refresh survived after %d injected crash points", failures)
-
-	// The surviving refresh serves the combined data — possibly through
-	// the degraded ladder, since the new generation's reader still wears
-	// the crash injector.
-	oracle, err := cube.RunOracle(lat, combined, combined.Dicts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range lat.Points() {
-		ans, err := s.Answer(ctx, Query{Point: p})
-		if err != nil {
-			t.Fatalf("%s: %v", lat.Label(p), err)
-		}
-		assertRowsMatchOracle(t, s, oracle, p, ans)
 	}
 }
 
@@ -334,7 +294,7 @@ func TestAppendWALErrorFaultLeavesStoreUnchanged(t *testing.T) {
 func TestServeCancellation(t *testing.T) {
 	axes := cleanAxes(3)
 	lat, set, _ := treebankWorkload(t, 43, 200, axes)
-	s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{BlockCells: 8})
+	s, err := BuildDir(t.TempDir(), lat, set, Options{BlockCells: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,34 +326,58 @@ func TestServeCancellation(t *testing.T) {
 }
 
 // TestRefreshWriteFaultLeavesOldGeneration injects persistent write
-// errors (not a crash schedule) into the refresh path: the refresh must
-// fail explicitly and the old generation keep serving.
+// errors (not a crash schedule) into every generation file a refresh
+// publishes. The WAL append lands first, so the refresh fails explicitly
+// at its flush with the document already acknowledged: the old
+// generation set keeps serving it from the memtable, no temp file is left
+// behind, and a recovery from disk serves the same answers.
 func TestRefreshWriteFaultLeavesOldGeneration(t *testing.T) {
-	axes := mixedAxes()
-	lat, set, _ := treebankWorkload(t, 53, 40, axes)
-	s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{Views: 3, BlockCells: 8})
+	ds := ladderDatasets()[0]
+	lat := ds.lat(t)
+	oracle := newLadderOracle(t, lat)
+	baseDoc := ds.doc(53)
+	dir := t.TempDir()
+	opt := Options{Views: ds.views, BlockCells: 8}
+	s, err := BuildDir(dir, lat, oracle.add(t, baseDoc), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	baseline := answerSnapshot(t, s)
 
 	s.fault = fault.New(fault.Config{Seed: 5, ErrEvery: 1})
-	delta := dataset.Treebank(dataset.TreebankConfig{Seed: 54, Facts: 10, Axes: axes})
+	delta := ds.doc(54)
+	oracle.add(t, delta)
 	_, err = s.RefreshDoc(context.Background(), delta)
+	s.fault = nil
 	if err == nil {
-		t.Fatal("refresh succeeded with every write failing")
+		t.Fatal("refresh succeeded with every generation write failing")
 	}
 	if !fault.IsInjected(err) {
 		t.Fatalf("refresh error does not wrap the injected fault: %v", err)
 	}
-	s.fault = nil
-	for label, want := range answerSnapshot(t, s) {
-		if baseline[label] != want {
-			t.Fatalf("cuboid %s changed after a failed refresh", label)
-		}
+	if d, m := s.Generations(); d != 0 || m == 0 {
+		t.Fatalf("failed refresh left %d deltas and %d memtable cells, want the document in the memtable", d, m)
 	}
-	if _, err := os.Stat(s.path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("failed refresh leaked the temp file: %v", err)
+	want := oracleSnapshot(t, lat, oracle.result(t))
+	if !sameSnapshot(answerSnapshot(t, s), want) {
+		t.Fatal("the acknowledged document is not served after the failed refresh")
+	}
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmps) > 0 {
+		t.Errorf("failed refresh leaked temp files: %v (%v)", tmps, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recBase, err := match.Evaluate(baseDoc, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenDir(dir, lat, recBase, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !sameSnapshot(answerSnapshot(t, s2), want) {
+		t.Fatal("recovered store differs from the live one after the failed refresh")
 	}
 }

@@ -74,11 +74,10 @@ func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*
 	s.decisions = decisions
 	s.initLadder(dir, man, opt)
 
-	rdr, err := s.writeStoreAt(s.path, res, keep)
+	rdr, _, err := s.publish(s.path, emitResult(lat, res, keep))
 	if err != nil {
 		return nil, err
 	}
-	s.adoptReader(rdr)
 	s.rdr = rdr
 	s.mem = cube.NewDelta(lat, s.man.Keep)
 
@@ -119,19 +118,17 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 	s := newStore(filepath.Join(dir, man.Base), lat, base, opt.Props, opt.Props == nil, opt)
 	s.initLadder(dir, man, opt)
 
-	rdr, err := cellfile.OpenIndexedWith(s.path, cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
+	rdr, err := s.openGen(s.path)
 	if err != nil {
 		return nil, err
 	}
-	s.adoptReader(rdr)
 	s.rdr = rdr
 	for _, name := range man.Deltas {
-		d, err := cellfile.OpenIndexedWith(filepath.Join(dir, name), cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
+		d, err := s.openGen(filepath.Join(dir, name))
 		if err != nil {
 			s.closeReaders()
 			return nil, err
 		}
-		s.adoptReader(d)
 		s.deltas = append(s.deltas, d)
 	}
 
@@ -237,6 +234,15 @@ func sortedKeep(keep map[uint32]bool) []uint32 {
 // stores built with Build).
 func (s *Store) Dir() string { return s.dir }
 
+// writable refuses maintenance on a store built with Build: the delta
+// ladder is the only way a store changes.
+func (s *Store) writable() error {
+	if s.dir != "" {
+		return nil
+	}
+	return fmt.Errorf("%w: store is read-only (built with Build, not BuildDir)", ErrBadRequest)
+}
+
 // Generations reports the ladder's current shape: outstanding delta
 // files and memtable cells. Single-file stores report zeros.
 func (s *Store) Generations() (deltas int, memCells int64) {
@@ -336,8 +342,8 @@ func (s *Store) commit(st *staged) (int64, error) {
 // flush threshold the append also flushes it as a delta generation.
 // Returns the number of facts the document contributed.
 func (s *Store) Append(ctx context.Context, body []byte) (int64, error) {
-	if s.dir == "" {
-		return 0, fmt.Errorf("%w: store has no write-ahead log (built with Build, not BuildDir)", ErrBadRequest)
+	if err := s.writable(); err != nil {
+		return 0, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -377,8 +383,8 @@ func (s *Store) appendLocked(ctx context.Context, body []byte) (int64, error) {
 // flushed cells are served from the delta file and the WAL records they
 // came from are marked applied (replay skips re-folding them).
 func (s *Store) Flush(ctx context.Context) error {
-	if s.dir == "" {
-		return fmt.Errorf("%w: store has no delta ladder (built with Build, not BuildDir)", ErrBadRequest)
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -397,35 +403,12 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	}
 	name := genName("delta", s.man.NextGen)
 	full := filepath.Join(s.dir, name)
-	tmp := full + ".tmp"
-	sink := cellfile.CreateIndexed(tmp)
-	sink.BlockCells = s.blockCells
-	sink.Fault = s.fault
-	err := s.mem.Each(func(pid uint32, key []match.ValueID, st agg.State) error {
-		return sink.Cell(pid, key, st)
+	rdr, cells, err := s.publish(full, func(sink *cellfile.IndexedSink) error {
+		return s.mem.Each(sink.Cell)
 	})
 	if err != nil {
-		sink.Close()
-		os.Remove(tmp)
 		return err
 	}
-	cells := sink.Cells()
-	if err := sink.Close(); err != nil {
-		return err // the sink removes tmp on a failed close
-	}
-	// Validate the new generation by re-opening it before the manifest
-	// may adopt it; the open reader follows the inode through the rename.
-	rdr, err := cellfile.OpenIndexedWith(tmp, cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, full); err != nil {
-		rdr.Close()
-		os.Remove(tmp)
-		return err
-	}
-	s.adoptReader(rdr)
 
 	newMan := s.man
 	newMan.Deltas = append(append([]string(nil), s.man.Deltas...), name)
@@ -504,8 +487,8 @@ func rowPrefix(row []byte) []byte { return row[:len(row)-agg.EncodedSize] }
 // Cancellable via ctx; a failure or crash at any point leaves the old
 // generation set serving.
 func (s *Store) Compact(ctx context.Context) error {
-	if s.dir == "" {
-		return fmt.Errorf("%w: store has no delta ladder (built with Build, not BuildDir)", ErrBadRequest)
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -553,61 +536,42 @@ func (s *Store) compactLocked(ctx context.Context) error {
 
 	name := genName("base", s.man.NextGen)
 	full := filepath.Join(s.dir, name)
-	tmp := full + ".tmp"
-	sink := cellfile.CreateIndexed(tmp)
-	sink.BlockCells = s.blockCells
-	sink.Fault = s.fault
-
-	var pending []byte
-	emitPending := func() error {
-		if pending == nil {
-			return nil
-		}
-		pid := uint32(pending[0])<<24 | uint32(pending[1])<<16 | uint32(pending[2])<<8 | uint32(pending[3])
-		if filter && !newKeepSet[pid] {
-			return nil
-		}
-		key := unpackKey(pending[4 : len(pending)-agg.EncodedSize])
-		st := agg.Decode(pending[len(pending)-agg.EncodedSize:])
-		return sink.Cell(pid, key, st)
-	}
-	cmp := func(a, b []byte) int { return bytes.Compare(rowPrefix(a), rowPrefix(b)) }
-	err := extsort.Merge(ctx, srcs, cmp, func(_ int, row []byte) error {
-		if pending != nil && bytes.Equal(rowPrefix(pending), rowPrefix(row)) {
+	rdr, cells, err := s.publish(full, func(sink *cellfile.IndexedSink) error {
+		var pending []byte
+		emitPending := func() error {
+			if pending == nil {
+				return nil
+			}
+			pid := uint32(pending[0])<<24 | uint32(pending[1])<<16 | uint32(pending[2])<<8 | uint32(pending[3])
+			if filter && !newKeepSet[pid] {
+				return nil
+			}
+			key := unpackKey(pending[4 : len(pending)-agg.EncodedSize])
 			st := agg.Decode(pending[len(pending)-agg.EncodedSize:])
-			st.Merge(agg.Decode(row[len(row)-agg.EncodedSize:]))
-			st.Encode(pending[len(pending)-agg.EncodedSize:])
-			return nil
+			return sink.Cell(pid, key, st)
 		}
-		if err := emitPending(); err != nil {
+		cmp := func(a, b []byte) int { return bytes.Compare(rowPrefix(a), rowPrefix(b)) }
+		err := extsort.Merge(ctx, srcs, cmp, func(_ int, row []byte) error {
+			if pending != nil && bytes.Equal(rowPrefix(pending), rowPrefix(row)) {
+				st := agg.Decode(pending[len(pending)-agg.EncodedSize:])
+				st.Merge(agg.Decode(row[len(row)-agg.EncodedSize:]))
+				st.Encode(pending[len(pending)-agg.EncodedSize:])
+				return nil
+			}
+			if err := emitPending(); err != nil {
+				return err
+			}
+			pending = append(pending[:0], row...)
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		pending = append(pending[:0], row...)
-		return nil
+		return emitPending()
 	})
-	if err == nil {
-		err = emitPending()
-	}
 	if err != nil {
-		sink.Close()
-		os.Remove(tmp)
 		return err
 	}
-	cells := sink.Cells()
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	rdr, err := cellfile.OpenIndexedWith(tmp, cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, full); err != nil {
-		rdr.Close()
-		os.Remove(tmp)
-		return err
-	}
-	s.adoptReader(rdr)
 
 	newMan := s.man
 	newMan.Base = name
@@ -669,11 +633,21 @@ func (s *Store) CompactLoop(ctx context.Context) {
 	}
 }
 
-// refreshLadder is RefreshDoc for ladder stores: the document rides the
-// append path (gaining WAL durability the single-file refresh never
-// had), then a flush and a full compaction restore the single-base
-// layout RefreshDoc promises.
-func (s *Store) refreshLadder(ctx context.Context, doc *xmltree.Document) (int64, error) {
+// RefreshDoc folds a parsed document into the store and restores the
+// single-base layout: the document rides the append path (WAL-durable
+// before it is served), then a flush and a full compaction merge every
+// generation into one base file. A failure after the append leaves the
+// document acknowledged and served from the memtable or a delta; a
+// failure before it changes nothing. Stores built with Build are
+// read-only and refuse with ErrBadRequest. Returns the number of facts
+// added.
+func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, error) {
+	if err := s.writable(); err != nil {
+		return 0, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var buf bytes.Buffer
 	if err := doc.Write(&buf); err != nil {
 		return 0, err
@@ -693,38 +667,4 @@ func (s *Store) refreshLadder(ctx context.Context, doc *xmltree.Document) (int64
 	s.reg.Counter("serve.refresh.runs").Inc()
 	s.reg.Counter("serve.refresh.added").Add(added)
 	return added, nil
-}
-
-// ReplayWAL re-replays the write-ahead log against the live store,
-// applying only records the store has not already absorbed. It exists to
-// make replay idempotence testable: immediately after OpenDir every
-// record is already applied, so a second replay must return 0.
-func (s *Store) ReplayWAL(ctx context.Context) (int, error) {
-	if s.dir == "" {
-		return 0, fmt.Errorf("%w: store has no write-ahead log (built with Build, not BuildDir)", ErrBadRequest)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	applied := 0
-	_, err := wal.Replay(filepath.Join(s.dir, walName), wal.Options{Fault: s.fault, Registry: s.reg}, func(r wal.Record) error {
-		if r.Seq < s.nextSeq {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrCancelled, err)
-		}
-		st, err := s.stage(r.Payload)
-		if err != nil {
-			return err
-		}
-		if _, err := s.commit(st); err != nil {
-			return err
-		}
-		applied++
-		return nil
-	})
-	return applied, err
 }

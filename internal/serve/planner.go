@@ -166,7 +166,7 @@ func (s *Store) execute(ctx context.Context, q Query, live []int) (*Answer, erro
 	plan := PlanRollup
 	if s.lat.ID(from) == s.lat.ID(q.Point) {
 		plan = PlanDirect
-		rows, degraded, err = s.answerDirect(ctx, q)
+		rows, degraded, err = s.answerDirect(ctx, q, live)
 	} else {
 		rows, degraded, err = s.answerRollup(ctx, q, live, from)
 	}
@@ -231,78 +231,38 @@ func (s *Store) eachMemCell(pid uint32, fn func(cellfile.Cell) error) error {
 	})
 }
 
-// answerDirect streams the materialized target cuboid, filtering. With
-// one generation and an empty memtable the file's own sort order is the
-// answer; otherwise same-group cells from different generations are
-// re-aggregated through a group map.
-func (s *Store) answerDirect(ctx context.Context, q Query) ([]Row, bool, error) {
-	live := s.lat.LiveAxes(q.Point)
-	pid := s.lat.ID(q.Point)
-	filter := func(c cellfile.Cell) bool {
+// answerDirect streams the materialized target cuboid, filtering, when it
+// lives in one generation file and the memtable is empty: the file's own
+// sort order is then the answer. Otherwise same-group cells from several
+// generations must be re-aggregated, which is the roll-up merge under the
+// identity projection.
+func (s *Store) answerDirect(ctx context.Context, q Query, live []int) ([]Row, bool, error) {
+	if len(s.deltas) > 0 || (s.mem != nil && s.mem.Cells() > 0) {
+		return s.answerRollup(ctx, q, live, q.Point)
+	}
+	var rows []Row
+	degraded, err := s.eachCell(ctx, s.rdr, s.lat.ID(q.Point), func() { rows = rows[:0] }, func(c cellfile.Cell) error {
 		for i, a := range live {
 			if want, ok := q.Where[a]; ok && c.Key[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if len(s.deltas) == 0 && (s.mem == nil || s.mem.Cells() == 0) {
-		var rows []Row
-		degraded, err := s.eachCell(ctx, s.rdr, pid, func() { rows = rows[:0] }, func(c cellfile.Cell) error {
-			if !filter(c) {
 				return nil
 			}
-			key := make([]match.ValueID, len(c.Key))
-			copy(key, c.Key)
-			rows = append(rows, Row{Key: key, State: c.State})
-			return nil
-		})
-		return rows, degraded, err // already in key order: the file is sorted
-	}
-	groups := make(map[string]agg.State)
-	var buf []byte
-	accumulate := func(c cellfile.Cell) error {
-		if !filter(c) {
-			return nil
 		}
-		buf = packKey(buf[:0], c.Key)
-		st := groups[string(buf)]
-		st.Merge(c.State)
-		groups[string(buf)] = st
+		key := make([]match.ValueID, len(c.Key))
+		copy(key, c.Key)
+		rows = append(rows, Row{Key: key, State: c.State})
 		return nil
-	}
-	var anyDegraded bool
-	for _, rdr := range s.generations() {
-		// Per-generation staging keeps the degraded-scan reset from
-		// discarding other generations' contributions.
-		var gen []Row
-		degraded, err := s.eachCell(ctx, rdr, pid, func() { gen = gen[:0] }, func(c cellfile.Cell) error {
-			key := make([]match.ValueID, len(c.Key))
-			copy(key, c.Key)
-			gen = append(gen, Row{Key: key, State: c.State})
-			return nil
-		})
-		anyDegraded = anyDegraded || degraded
-		if err != nil {
-			return nil, anyDegraded, err
-		}
-		for _, r := range gen {
-			if err := accumulate(cellfile.Cell{Point: pid, Key: r.Key, State: r.State}); err != nil {
-				return nil, anyDegraded, err
-			}
-		}
-	}
-	if err := s.eachMemCell(pid, accumulate); err != nil {
-		return nil, anyDegraded, err
-	}
-	return rowsFromGroups(groups), anyDegraded, nil
+	})
+	return rows, degraded, err // already in key order: the file is sorted
 }
 
-// answerRollup streams the finer materialized cuboid `from` and merges
-// its cells into the target's coarser groups. Safe relaxation steps make
-// this exact: across a ladder state step the cells coincide, and across
-// an LND step the dropped axis's groups partition the facts, so
-// aggregate-state merging (internal/agg) reproduces the target cuboid.
+// answerRollup streams the finer materialized cuboid `from` from every
+// generation and the memtable and merges its cells into the target's
+// coarser groups. Safe relaxation steps make this exact: across a ladder
+// state step the cells coincide, and across an LND step the dropped axis's
+// groups partition the facts, so aggregate-state merging (internal/agg)
+// reproduces the target cuboid. With from equal to the target the
+// projection is the identity and the merge only re-aggregates same-group
+// cells across generations.
 func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from lattice.Point) ([]Row, bool, error) {
 	fromLive := s.lat.LiveAxes(from)
 	// proj[i] is the position within from's key of the target's i-th
@@ -344,11 +304,13 @@ func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from latt
 		}
 	}
 	var anyDegraded bool
+	// Per-generation staging keeps the degraded-scan reset from discarding
+	// other generations' contributions. The reset clears gen in place:
+	// accumulate(gen) is bound to this map, so the re-scan must refill it.
+	gen := make(map[string]agg.State)
 	for _, rdr := range s.generations() {
-		// Per-generation staging keeps the degraded-scan reset from
-		// discarding other generations' contributions.
-		gen := make(map[string]agg.State)
-		degraded, err := s.eachCell(ctx, rdr, fromPid, func() { gen = make(map[string]agg.State) }, accumulate(gen))
+		clear(gen)
+		degraded, err := s.eachCell(ctx, rdr, fromPid, func() { clear(gen) }, accumulate(gen))
 		anyDegraded = anyDegraded || degraded
 		if err != nil {
 			return nil, anyDegraded, err

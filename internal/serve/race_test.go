@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -21,7 +20,7 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 	axes := mixedAxes()
 	lat, set, _ := treebankWorkload(t, 31, 60, axes)
 	reg := obs.New()
-	s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set,
+	s, err := BuildDir(t.TempDir(), lat, set,
 		Options{Registry: reg, Views: 3, BlockCells: 16, CacheBytes: 512 << 10})
 	if err != nil {
 		t.Fatal(err)

@@ -9,21 +9,21 @@
 // fly, falling back to base-fact recomputation when no safe ancestor is
 // materialized.
 //
-// Refreshes ride on cube.Maintain: new facts are folded into the
-// materialized cuboids without recomputing the cube, the indexed file is
-// rewritten, and the reader is swapped atomically under the store lock,
-// so a Store is safe for concurrent queries during a refresh.
+// A store built with Build is one read-only cell file. A store built with
+// BuildDir is a delta ladder (ladder.go), the only store that changes:
+// appends are logged, held in a memtable, flushed as delta generations
+// and compacted. Every generation file is written by one routine
+// (publish) and swapped in under the store lock, so queries run
+// concurrently with maintenance.
 package serve
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
 
-	"x3/internal/agg"
 	"x3/internal/cellfile"
 	"x3/internal/costmodel"
 	"x3/internal/cube"
@@ -34,7 +34,6 @@ import (
 	"x3/internal/obs"
 	"x3/internal/views"
 	"x3/internal/wal"
-	"x3/internal/xmltree"
 )
 
 // Options configure Build.
@@ -63,7 +62,7 @@ type Options struct {
 	// (0 = cellfile.DefaultBlockCells).
 	BlockCells int
 	// Props certifies summarizability; nil measures the properties from
-	// the base facts once and folds every refresh's new facts into them.
+	// the base facts once and folds every append's new facts into them.
 	Props cube.Props
 	// Registry receives the serve.* counters and timers; nil disables
 	// observability.
@@ -135,7 +134,7 @@ type Store struct {
 	// refreshMu plus mu.Lock. Readers touch dictionaries under mu.RLock.
 	base      *match.Set
 	props     cube.Props
-	measured  bool // props are data-measured: absorb each refresh's facts
+	measured  bool // props are data-measured: absorb each append's facts
 	decisions []costmodel.Decision
 }
 
@@ -150,11 +149,10 @@ func Build(path string, lat *lattice.Lattice, base *match.Set, opt Options) (*St
 	}
 	s := newStore(path, lat, base, props, measured, opt)
 	s.decisions = decisions
-	rdr, err := s.writeStore(res, keep)
+	rdr, _, err := s.publish(path, emitResult(lat, res, keep))
 	if err != nil {
 		return nil, err
 	}
-	s.adoptReader(rdr)
 	s.rdr = rdr
 	return s, nil
 }
@@ -229,12 +227,75 @@ func newStore(path string, lat *lattice.Lattice, base *match.Set, props cube.Pro
 	return s
 }
 
-// adoptReader hooks a freshly opened generation reader into the store's
-// observability and block cache.
-func (s *Store) adoptReader(rdr *cellfile.IndexedReader) {
+// openGen opens one generation cell file with the store's read-fault
+// options and hooks it into the store's observability and block cache.
+func (s *Store) openGen(path string) (*cellfile.IndexedReader, error) {
+	rdr, err := cellfile.OpenIndexedWith(path, cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
+	if err != nil {
+		return nil, err
+	}
 	rdr.Observe(s.reg)
 	if s.cache != nil {
 		rdr.SetCache(s.cache)
+	}
+	return rdr, nil
+}
+
+// publish writes one generation cell file at path, crash-safely: emit
+// streams the cells into a sink, Close sorts them into a temp file and
+// syncs it, and the temp file is re-opened — a structural validation —
+// before it is renamed over path. A write fault or crash at any point
+// leaves path untouched: the previous generation, if one exists, keeps
+// serving. On success the validated reader over the new generation is
+// returned with its cell count.
+func (s *Store) publish(path string, emit func(*cellfile.IndexedSink) error) (*cellfile.IndexedReader, int64, error) {
+	tmp := path + ".tmp"
+	sink := cellfile.CreateIndexed(tmp)
+	sink.BlockCells = s.blockCells
+	sink.Fault = s.fault
+	if err := emit(sink); err != nil {
+		return nil, 0, err // the sink creates its file only in Close
+	}
+	cells := sink.Cells()
+	if err := sink.Close(); err != nil {
+		return nil, 0, err // the sink removes tmp on a failed close
+	}
+	rdr, err := s.openGen(tmp)
+	if err != nil {
+		os.Remove(tmp)
+		return nil, 0, err
+	}
+	// The reader holds an open fd, which follows the inode through the
+	// rename; only after the new generation proves readable does it
+	// replace the old one.
+	if err := os.Rename(tmp, path); err != nil {
+		rdr.Close()
+		os.Remove(tmp)
+		return nil, 0, err
+	}
+	return rdr, cells, nil
+}
+
+// emitResult streams the kept cuboids of a computed cube into a
+// generation sink (the base generation Build and BuildDir publish).
+func emitResult(lat *lattice.Lattice, res *cube.Result, keep map[uint32]bool) func(*cellfile.IndexedSink) error {
+	return func(sink *cellfile.IndexedSink) error {
+		for _, p := range lat.Points() {
+			pid := lat.ID(p)
+			if !keep[pid] {
+				continue
+			}
+			for _, key := range res.Keys(p) {
+				st, ok := res.State(p, key)
+				if !ok {
+					return fmt.Errorf("serve: cuboid %s lost cell %v", lat.Label(p), key)
+				}
+				if err := sink.Cell(pid, key, st); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 }
 
@@ -289,62 +350,6 @@ func selectPoints(lat *lattice.Lattice, props cube.Props, res *cube.Result, base
 		keep[lat.ID(sg.Point)] = true
 	}
 	return keep, nil
-}
-
-// writeStore writes the kept cuboids of res as an indexed cell file at
-// the store's path, crash-safely: cells go to a temp file that is synced,
-// re-opened and structurally validated before it is renamed over path. A
-// write fault or crash at any point leaves path untouched — the previous
-// generation, if one exists, keeps serving. On success the validated
-// reader over the new generation is returned.
-func (s *Store) writeStore(res *cube.Result, keep map[uint32]bool) (*cellfile.IndexedReader, error) {
-	return s.writeStoreAt(s.path, res, keep)
-}
-
-// writeStoreAt is writeStore targeting an explicit path (ladder stores
-// write generation-numbered files inside their directory).
-func (s *Store) writeStoreAt(path string, res *cube.Result, keep map[uint32]bool) (*cellfile.IndexedReader, error) {
-	lat := s.lat
-	tmp := path + ".tmp"
-	sink := cellfile.CreateIndexed(tmp)
-	sink.BlockCells = s.blockCells
-	sink.Fault = s.fault
-	for _, p := range lat.Points() {
-		pid := lat.ID(p)
-		if !keep[pid] {
-			continue
-		}
-		for _, key := range res.Keys(p) {
-			st, ok := res.State(p, key)
-			if !ok {
-				sink.Close()
-				os.Remove(tmp)
-				return nil, fmt.Errorf("serve: cuboid %s lost cell %v", lat.Label(p), key)
-			}
-			if err := sink.Cell(pid, key, st); err != nil {
-				sink.Close()
-				os.Remove(tmp)
-				return nil, err
-			}
-		}
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err // the sink removes tmp on a failed close
-	}
-	rdr, err := cellfile.OpenIndexedWith(tmp, cellfile.ReadOptions{Fault: s.fault, Retries: s.retries})
-	if err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	// The reader holds an open fd, which follows the inode through the
-	// rename; only after the new generation proves readable does it
-	// replace the old one.
-	if err := os.Rename(tmp, path); err != nil {
-		rdr.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	return rdr, nil
 }
 
 // Lattice returns the store's cuboid lattice.
@@ -456,82 +461,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// RefreshDoc evaluates the query over a new XML document with the store's
-// dictionaries, folds the matched facts into the materialized cuboids via
-// cube.Maintain, rewrites the indexed file, and swaps it in atomically.
-// Queries keep running against the old state until the swap; a failure or
-// cancellation at any point — including a crash mid-write — leaves the old
-// generation serving unchanged. Returns the number of facts added.
-func (s *Store) RefreshDoc(ctx context.Context, doc *xmltree.Document) (int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.dir != "" {
-		return s.refreshLadder(ctx, doc)
-	}
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-
-	s.mu.RLock()
-	oldRdr, oldBase := s.rdr, s.base
-	s.mu.RUnlock()
-
-	// Work on a clone: match evaluation interns new values, and the live
-	// dictionaries must not change until the swap below.
-	newBase := oldBase.Clone()
-	delta, err := match.EvaluateWith(doc, s.lat, newBase.Dicts)
-	if err != nil {
-		return 0, err
-	}
-
-	// Load the materialized cuboids back into a Result and maintain it.
-	res := cube.NewResult(s.lat, newBase.Dicts)
-	keep := make(map[uint32]bool)
-	for _, pid := range oldRdr.Points() {
-		keep[pid] = true
-		cells := make(map[string]agg.State)
-		err := oldRdr.EachCuboidCtx(ctx, pid, func(c cellfile.Cell) error {
-			cells[string(packKey(nil, c.Key))] = c.State
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		res.Cuboids[pid] = cells
-		res.Cells += int64(len(cells))
-	}
-	added, err := cube.Maintain(res, delta)
-	if err != nil {
-		return 0, err
-	}
-
-	newBase.Facts = append(newBase.Facts, delta.Facts...)
-	props, err := s.absorbProps(delta)
-	if err != nil {
-		return 0, err
-	}
-
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-	newRdr, err := s.writeStore(res, keep)
-	if err != nil {
-		return 0, err
-	}
-	s.adoptReader(newRdr)
-
-	s.mu.Lock()
-	s.rdr = newRdr
-	s.base = newBase
-	s.props = props
-	s.mu.Unlock()
-	s.bestEffort(oldRdr.Close())
-
-	s.reg.Counter("serve.refresh.runs").Inc()
-	s.reg.Counter("serve.refresh.added").Add(added)
-	return added, nil
-}
-
 // absorbProps returns the properties that hold once delta's facts join
 // the store: measured properties are ANDed with what delta shows, in
 // O(delta) (cube.MeasuredProps.Absorb); certified ones stand as given.
@@ -548,8 +477,9 @@ func (s *Store) absorbProps(delta *match.Set) (cube.Props, error) {
 }
 
 // packKey encodes a group key as big-endian bytes (byte order = value
-// order), mirroring the cube package's cell-table keys so refreshed
-// results agree with cube.Maintain's.
+// order), so packed keys compare byte-wise like the keys they encode —
+// the order compaction's merge relies on. The planner uses them as group
+// map keys.
 func packKey(dst []byte, vals []match.ValueID) []byte {
 	for _, v := range vals {
 		var b [4]byte

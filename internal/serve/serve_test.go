@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -254,7 +257,7 @@ func TestViewLimitedStoreUsesRollupAndBase(t *testing.T) {
 func TestRefreshDocMaintainsServedCube(t *testing.T) {
 	axes := mixedAxes()
 	lat, set, _ := treebankWorkload(t, 17, 60, axes)
-	s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set, Options{Views: 3})
+	s, err := BuildDir(t.TempDir(), lat, set, Options{Views: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +289,41 @@ func TestRefreshDocMaintainsServedCube(t *testing.T) {
 	}
 	for _, p := range lat.Points() {
 		assertCuboidMatchesOracle(t, s, oracle, p)
+	}
+	if d, m := s.Generations(); d != 0 || m != 0 {
+		t.Fatalf("refresh left %d deltas and %d memtable cells, want one base generation", d, m)
+	}
+}
+
+// TestRefreshDocRefusedOnBuildStore pins that a store built with Build is
+// read-only: RefreshDoc answers ErrBadRequest and leaves the cell file
+// byte-identical and the fact count unchanged.
+func TestRefreshDocRefusedOnBuildStore(t *testing.T) {
+	axes := cleanAxes(2)
+	lat, set, _ := treebankWorkload(t, 29, 40, axes)
+	path := filepath.Join(t.TempDir(), "cube.x3ci")
+	s, err := Build(path, lat, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := dataset.Treebank(dataset.TreebankConfig{Seed: 30, Facts: 10, Axes: axes})
+	if _, err := s.RefreshDoc(context.Background(), delta); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("RefreshDoc on a Build store: %v, want ErrBadRequest", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused refresh changed the cell file")
+	}
+	if n := s.NumFacts(); n != set.NumFacts() {
+		t.Fatalf("refused refresh changed the fact count: %d, want %d", n, set.NumFacts())
 	}
 }
 
