@@ -1,118 +1,31 @@
-// Package cellfile streams computed cube cells to a binary file and reads
-// them back. The paper's runs "write the results into files" (§4); a
-// FileSink plugs into any cube algorithm as its Sink, so huge cubes never
-// accumulate in memory, and a Reader iterates the cells later (e.g. to
-// serve roll-up queries from a materialized cube).
-//
-// Format:
-//
-//	magic "X3CF", version byte
-//	per cell: 0x01 marker, uvarint point id, uvarint key length,
-//	          key ValueIDs (uvarints), 32-byte aggregate state
-//	trailer: 0x00 marker, uvarint cell count
+// Package cellfile stores computed cube cells in one file format, the
+// indexed cell file (layout in indexed.go, block encoding in columnar.go),
+// and reads them back. The paper's runs "write the results into files"
+// (§4). A Writer streams cells that arrive in file order straight into
+// compressed blocks, holding one block at a time; an IndexedSink accepts
+// cells in any order — it is the cube.Sink any cube algorithm computes
+// into — and sorts them on the way into a Writer, spilling sorted runs
+// once its buffer reaches a bound.
 package cellfile
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"io/fs"
 	"os"
+	"slices"
 
 	"x3/internal/agg"
 	"x3/internal/cube"
+	"x3/internal/fault"
 	"x3/internal/match"
 )
 
 var magic = [4]byte{'X', '3', 'C', 'F'}
-
-const version = 1
-
-// FileSink writes cells to a file as they are emitted. It implements
-// cube.Sink. Close finalizes the trailer; a file without a valid trailer
-// is detected as truncated on read.
-type FileSink struct {
-	f     *os.File
-	w     *bufio.Writer
-	cells int64
-	err   error
-}
-
-// Create opens a new cell file at path.
-func Create(path string) (*FileSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("cellfile: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if _, err := w.Write(magic[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.WriteByte(version); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileSink{f: f, w: w}, nil
-}
-
-// Cell implements cube.Sink.
-func (s *FileSink) Cell(point uint32, key []match.ValueID, st agg.State) error {
-	if s.err != nil {
-		return s.err
-	}
-	s.err = s.w.WriteByte(0x01)
-	s.writeUvarint(uint64(point))
-	s.writeUvarint(uint64(len(key)))
-	for _, v := range key {
-		s.writeUvarint(uint64(v))
-	}
-	var enc [agg.EncodedSize]byte
-	st.Encode(enc[:])
-	if s.err == nil {
-		_, s.err = s.w.Write(enc[:])
-	}
-	s.cells++
-	return s.err
-}
-
-// Cells returns the number of cells written so far.
-func (s *FileSink) Cells() int64 { return s.cells }
-
-// Close writes the trailer and closes the file.
-func (s *FileSink) Close() error {
-	if s.err != nil {
-		s.f.Close()
-		return s.err
-	}
-	if err := s.w.WriteByte(0x00); err != nil {
-		s.f.Close()
-		return err
-	}
-	s.writeUvarint(uint64(s.cells))
-	if s.err != nil {
-		s.f.Close()
-		return s.err
-	}
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
-
-func (s *FileSink) writeUvarint(v uint64) {
-	if s.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, s.err = s.w.Write(buf[:n])
-}
-
-var _ cube.Sink = (*FileSink)(nil)
 
 // Cell is one stored cube cell.
 type Cell struct {
@@ -121,111 +34,318 @@ type Cell struct {
 	State agg.State
 }
 
-// Each streams every cell of the file at path to fn and verifies the
-// trailer count.
-func Each(path string, fn func(Cell) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("cellfile: %w", err)
+// compareCells orders cells the way the file stores them: by point, then
+// key value by value, a key that is a prefix of another first.
+func compareCells(ap uint32, ak []match.ValueID, bp uint32, bk []match.ValueID) int {
+	if c := cmp.Compare(ap, bp); c != 0 {
+		return c
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return readErr(path, "magic", err)
-	}
-	if m != magic {
-		return fmt.Errorf("%w: %s is not a cell file", ErrCorrupt, path)
-	}
-	ver, err := r.ReadByte()
-	if err != nil {
-		return readErr(path, "version", err)
-	}
-	switch ver {
-	case version:
-		// the streaming v1 format, handled below
-	case indexedVersionCol:
-		// the indexed format: delegate to the indexed reader, which knows
-		// where the data section ends and the index begins.
-		ir, err := OpenIndexed(path)
-		if err != nil {
-			return err
-		}
-		defer ir.Close()
-		return ir.Each(fn)
-	default:
-		return fmt.Errorf("%w: %s: unsupported version %d", ErrCorrupt, path, ver)
-	}
-	var count int64
-	for {
-		marker, err := r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("%w: %s: missing trailer (truncated after %d cells)", ErrTruncated, path, count)
-		}
-		switch marker {
-		case 0x00:
-			want, err := binary.ReadUvarint(r)
-			if err != nil {
-				return fmt.Errorf("%w: %s: corrupt trailer: %w", ErrCorrupt, path, err)
-			}
-			if int64(want) != count {
-				return fmt.Errorf("%w: %s: trailer says %d cells, read %d", ErrCorrupt, path, want, count)
-			}
-			// The trailer must be the last bytes of the file: anything
-			// after it means the count only covers a prefix — a forged or
-			// misplaced trailer would otherwise silently truncate the
-			// cube (the count would "agree" with the cells read so far
-			// while disagreeing with the cells actually stored).
-			if _, err := r.ReadByte(); !errors.Is(err, io.EOF) {
-				return fmt.Errorf("%w: %s: data after trailer (trailer count %d does not cover the whole file)", ErrCorrupt, path, want)
-			}
-			return nil
-		case 0x01:
-			// a cell record follows
-		default:
-			return fmt.Errorf("%w: %s: corrupt record marker 0x%02x", ErrCorrupt, path, marker)
-		}
-		point, err := binary.ReadUvarint(r)
-		if err != nil {
-			return readErr(path, fmt.Sprintf("cell %d point", count), err)
-		}
-		klen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return readErr(path, fmt.Sprintf("cell %d key length", count), err)
-		}
-		if klen > 1<<16 {
-			return fmt.Errorf("%w: %s: implausible key length %d", ErrCorrupt, path, klen)
-		}
-		c := Cell{Point: uint32(point), Key: make([]match.ValueID, klen)}
-		for i := range c.Key {
-			v, err := binary.ReadUvarint(r)
-			if err != nil {
-				return readErr(path, fmt.Sprintf("cell %d key", count), err)
-			}
-			c.Key[i] = match.ValueID(v)
-		}
-		var enc [agg.EncodedSize]byte
-		if _, err := io.ReadFull(r, enc[:]); err != nil {
-			return fmt.Errorf("%w: %s: cell %d state: %w", ErrTruncated, path, count, err)
-		}
-		c.State = agg.Decode(enc[:])
-		count++
-		if err := fn(c); err != nil {
-			return err
-		}
-	}
+	return slices.Compare(ak, bk)
 }
 
-// readErr classifies a failed read of the v1 stream: running out of bytes
-// is truncation, an OS error stays itself, and what remains — an overlong
-// varint — is corruption.
-func readErr(path, what string, err error) error {
-	var osErr *fs.PathError
-	switch {
-	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("%w: %s: %s: %w", ErrTruncated, path, what, err)
-	case errors.As(err, &osErr):
-		return fmt.Errorf("cellfile: %s: %s: %w", path, what, err)
+// sortCells sorts cells into file order.
+func sortCells(cells []Cell) {
+	slices.SortFunc(cells, func(a, b Cell) int { return compareCells(a.Point, a.Key, b.Point, b.Key) })
+}
+
+// errFinished refuses writes to a Writer whose footer is already written.
+var errFinished = errors.New("cellfile: write after Finish")
+
+// blockMetaW is one sparse-index entry as the Writer records it.
+type blockMetaW struct {
+	off        uint64
+	firstPoint uint32
+	cells      int
+	crc        uint32
+}
+
+// Writer encodes cells that arrive in file order as an indexed cell file
+// on an io.Writer, one block at a time: it holds at most one block of
+// cells plus the index and cuboid directory, which grow with the number
+// of blocks and cuboids, not cells. It implements cube.Sink; a cell that
+// sorts before its predecessor is an error. Finish writes the index and
+// footer.
+type Writer struct {
+	w          io.Writer
+	blockCells int
+	block      []Cell
+	arena      []match.ValueID // the pending block's keys
+	buf        []byte          // encoded block scratch
+	off        uint64          // file offset of the next block
+	index      []blockMetaW
+	dirPoints  []uint32
+	dirCells   []uint64
+	cells      int64
+	lastPoint  uint32
+	lastKey    []match.ValueID
+	err        error
+}
+
+// NewWriter starts an indexed cell file on w with blockCells cells per
+// block (0 selects DefaultBlockCells).
+func NewWriter(w io.Writer, blockCells int) *Writer {
+	if blockCells <= 0 {
+		blockCells = DefaultBlockCells
 	}
-	return fmt.Errorf("%w: %s: %s: %w", ErrCorrupt, path, what, err)
+	wr := &Writer{w: w, blockCells: blockCells, off: headerLen}
+	_, wr.err = w.Write(append(magic[:], indexedVersionCol))
+	return wr
+}
+
+// Cell implements cube.Sink. The key is copied.
+func (w *Writer) Cell(point uint32, key []match.ValueID, st agg.State) error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.cells > 0 && compareCells(point, key, w.lastPoint, w.lastKey) < 0 {
+		w.err = fmt.Errorf("cellfile: cell %d%v after %d%v is out of file order", point, key, w.lastPoint, w.lastKey)
+		return w.err
+	}
+	if w.cells == 0 || point != w.lastPoint {
+		w.dirPoints = append(w.dirPoints, point)
+		w.dirCells = append(w.dirCells, 0)
+	}
+	w.dirCells[len(w.dirCells)-1]++
+	// A key slice stays valid when a later append moves the arena: the old
+	// backing array keeps its contents until the block is written.
+	start := len(w.arena)
+	w.arena = append(w.arena, key...)
+	w.block = append(w.block, Cell{Point: point, Key: w.arena[start:len(w.arena):len(w.arena)], State: st})
+	w.lastPoint, w.lastKey = point, append(w.lastKey[:0], key...)
+	w.cells++
+	if len(w.block) == w.blockCells {
+		return w.writeBlock()
+	}
+	return nil
+}
+
+// writeBlock encodes and writes the pending block. Whole blocks are
+// encoded at once: the columnar sections need every cell of the block in
+// hand before any byte is final.
+func (w *Writer) writeBlock() error {
+	w.buf = appendColumnarBlock(w.buf[:0], w.block)
+	w.index = append(w.index, blockMetaW{
+		off: w.off, firstPoint: w.block[0].Point, cells: len(w.block),
+		crc: crc32.Checksum(w.buf, castagnoli),
+	})
+	if _, err := w.w.Write(w.buf); err != nil {
+		w.err = err
+		return err
+	}
+	w.off += uint64(len(w.buf))
+	w.block, w.arena = w.block[:0], w.arena[:0]
+	return nil
+}
+
+// Cells returns the number of cells written so far.
+func (w *Writer) Cells() int64 { return w.cells }
+
+// DataBytes returns the encoded byte length of the blocks written so far;
+// after Finish it is the file's data section — the size the cost model
+// prices a cuboid by.
+func (w *Writer) DataBytes() int64 { return int64(w.off) - headerLen }
+
+// Finish writes the last block, the index and the footer. The Writer
+// accepts no cells afterwards.
+func (w *Writer) Finish() error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(w.block) > 0 {
+		if err := w.writeBlock(); err != nil {
+			return err
+		}
+	}
+	idx := putUvarint(nil, uint64(len(w.index)))
+	for _, b := range w.index {
+		idx = putUvarint(idx, b.off)
+		idx = putUvarint(idx, uint64(b.firstPoint))
+		idx = putUvarint(idx, uint64(b.cells))
+		idx = putUvarint(idx, uint64(b.crc))
+	}
+	idx = putUvarint(idx, uint64(len(w.dirPoints)))
+	for i, p := range w.dirPoints {
+		idx = putUvarint(idx, uint64(p))
+		idx = putUvarint(idx, w.dirCells[i])
+	}
+	var foot [footerLenCRC]byte
+	binary.BigEndian.PutUint64(foot[0:], uint64(w.cells))
+	binary.BigEndian.PutUint64(foot[8:], w.off)
+	binary.BigEndian.PutUint32(foot[16:], crc32.Checksum(idx, castagnoli))
+	copy(foot[20:], indexMagic[:])
+	if _, err := w.w.Write(append(idx, foot[:]...)); err != nil {
+		w.err = err
+		return err
+	}
+	w.err = errFinished
+	return nil
+}
+
+var _ cube.Sink = (*Writer)(nil)
+
+// WriteFile creates an indexed cell file at path and streams fill's cells,
+// which must arrive in file order, into it through a Writer. The file is
+// synced before WriteFile returns, so a rename that follows publishes
+// durable bytes. On any failure, fill's included, the partial file is
+// removed. inj optionally injects faults into the file writes (site
+// cellfile.write). Returns the number of cells written.
+func WriteFile(path string, blockCells int, inj *fault.Injector, fill func(*Writer) error) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, fmt.Errorf("cellfile: %w", err)
+	}
+	bw := bufio.NewWriterSize(inj.Writer("cellfile.write", f), 1<<16)
+	w := NewWriter(bw, blockCells)
+	err = fill(w)
+	if err == nil {
+		err = w.Finish()
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		return 0, err
+	}
+	return w.Cells(), nil
+}
+
+// cellBytes is the heap a buffered cell takes besides its key values:
+// the Cell struct and the key slice header.
+const cellBytes = 64
+
+// minRunCells is the smallest run an IndexedSink spills, so however small
+// BufferBytes is, the number of runs Close merges stays bounded.
+const minRunCells = 1 << 12
+
+// IndexedSink writes an indexed cell file from cells in any order. It
+// implements cube.Sink, so any cube algorithm can compute straight into
+// it. Cells are buffered and, on Close, sorted into a Writer. Once the
+// buffer holds BufferBytes, it is sorted and spilled as a run — itself an
+// indexed cell file beside path — and Close merges the runs. The file is
+// the same either way.
+type IndexedSink struct {
+	path string
+	// BlockCells overrides the index block granularity (cells per block);
+	// 0 selects DefaultBlockCells. Set it before Close.
+	BlockCells int
+	// Fault optionally injects write-path faults (crash-safety tests).
+	Fault *fault.Injector
+	// BufferBytes bounds the heap of the buffered cells, though a run
+	// holds at least minRunCells cells; 0 buffers every cell until Close.
+	BufferBytes int64
+	cells       []Cell
+	buffered    int64 // heap of cells, as counted against BufferBytes
+	runs        []string
+	n           int64
+}
+
+// CreateIndexed returns a sink that will write an indexed cell file at
+// path when closed.
+func CreateIndexed(path string) *IndexedSink {
+	return &IndexedSink{path: path}
+}
+
+// Cell implements cube.Sink. The key is copied.
+func (s *IndexedSink) Cell(point uint32, key []match.ValueID, st agg.State) error {
+	if s.BufferBytes > 0 && s.buffered >= s.BufferBytes && len(s.cells) >= minRunCells {
+		if err := s.spill(); err != nil {
+			return err
+		}
+	}
+	s.cells = append(s.cells, Cell{Point: point, Key: slices.Clone(key), State: st})
+	s.buffered += cellBytes + 4*int64(len(key))
+	s.n++
+	return nil
+}
+
+// Cells returns the number of cells collected so far.
+func (s *IndexedSink) Cells() int64 { return s.n }
+
+// spill writes the sorted buffer as the next run and empties it.
+func (s *IndexedSink) spill() error {
+	run := fmt.Sprintf("%s.run%d", s.path, len(s.runs))
+	if _, err := WriteFile(run, s.BlockCells, s.Fault, s.writeSorted); err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	clear(s.cells)
+	s.cells, s.buffered = s.cells[:0], 0
+	return nil
+}
+
+// writeSorted sorts the buffer into w.
+func (s *IndexedSink) writeSorted(w *Writer) error {
+	sortCells(s.cells)
+	for i := range s.cells {
+		c := &s.cells[i]
+		if err := w.Cell(c.Point, c.Key, c.State); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close writes the indexed file, synced to stable storage before it
+// returns, so a rename that follows Close publishes durable bytes. Spilled
+// runs are merged into it and removed. On failure no file is left at path.
+func (s *IndexedSink) Close() error {
+	defer s.release()
+	if len(s.runs) == 0 {
+		_, err := WriteFile(s.path, s.BlockCells, s.Fault, s.writeSorted)
+		return err
+	}
+	if len(s.cells) > 0 {
+		if err := s.spill(); err != nil {
+			return err
+		}
+	}
+	var rs []*IndexedReader
+	defer func() {
+		for _, r := range rs {
+			r.Close()
+		}
+	}()
+	for _, run := range s.runs {
+		r, err := OpenIndexed(run)
+		if err != nil {
+			return err
+		}
+		rs = append(rs, r)
+	}
+	_, err := WriteFile(s.path, s.BlockCells, s.Fault, func(w *Writer) error {
+		return Merge(nil, rs, func(c Cell) error { return w.Cell(c.Point, c.Key, c.State) })
+	})
+	return err
+}
+
+// Abort discards the sink without writing a file: the buffered cells are
+// dropped and spilled runs removed.
+func (s *IndexedSink) Abort() {
+	s.cells = nil
+	s.release()
+}
+
+// release removes the spilled runs.
+func (s *IndexedSink) release() {
+	for _, run := range s.runs {
+		os.Remove(run)
+	}
+	s.runs = nil
+}
+
+var _ cube.Sink = (*IndexedSink)(nil)
+
+// WriteIndexed writes cells (any order; they are sorted in place) as an
+// indexed cell file at path.
+func WriteIndexed(path string, cells []Cell) error {
+	s := CreateIndexed(path)
+	s.cells = cells
+	return s.Close()
 }

@@ -1,7 +1,9 @@
 package cellfile
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -51,16 +53,21 @@ func makeSet(t *testing.T, lat *lattice.Lattice, n int, seed int64) *match.Set {
 	return set
 }
 
-// TestRoundTripThroughAlgorithm computes a cube straight into a cell file
-// and compares the read-back contents with an in-memory Result.
-func TestRoundTripThroughAlgorithm(t *testing.T) {
-	lat := makeLattice(t)
-	set := makeSet(t, lat, 200, 1)
-	path := filepath.Join(t.TempDir(), "cube.x3cf")
-	sink, err := Create(path)
+// eachFile opens the indexed file at path and streams every cell to fn.
+func eachFile(path string, fn func(Cell) error) error {
+	r, err := OpenIndexed(path)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer r.Close()
+	return r.Each(fn)
+}
+
+// writeCube computes the COUNTER cube of set straight into an indexed sink
+// at path.
+func writeCube(t *testing.T, lat *lattice.Lattice, set *match.Set, path string) {
+	t.Helper()
+	sink := CreateIndexed(path)
 	in := &cube.Input{Lattice: lat, Source: set, Dicts: set.Dicts}
 	if _, err := (cube.Counter{}).Run(in, sink); err != nil {
 		t.Fatal(err)
@@ -68,13 +75,22 @@ func TestRoundTripThroughAlgorithm(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRoundTripThroughAlgorithm computes a cube straight into a cell file
+// and compares the read-back contents with an in-memory Result.
+func TestRoundTripThroughAlgorithm(t *testing.T) {
+	lat := makeLattice(t)
+	set := makeSet(t, lat, 200, 1)
+	path := filepath.Join(t.TempDir(), "cube.x3ci")
+	writeCube(t, lat, set, path)
 
 	want, err := cube.RunOracle(lat, set, set.Dicts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	read := int64(0)
-	err = Each(path, func(c Cell) error {
+	err = eachFile(path, func(c Cell) error {
 		read++
 		p := lat.FromID(c.Point)
 		s, ok := want.State(p, c.Key)
@@ -94,35 +110,25 @@ func TestRoundTripThroughAlgorithm(t *testing.T) {
 	}
 }
 
-// TestTruncationDetected cuts a valid v1 file at every byte offset: each
+// TestTruncationDetected cuts a valid file at every byte offset: each
 // prefix must be refused, and refused with a sentinel — never a bare
 // io.EOF from whichever field the cut happened to land in.
 func TestTruncationDetected(t *testing.T) {
 	lat := makeLattice(t)
 	set := makeSet(t, lat, 50, 2)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cube.x3cf")
-	sink, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &cube.Input{Lattice: lat, Source: set, Dicts: set.Dicts}
-	if _, err := (cube.Counter{}).Run(in, sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, "cube.x3ci")
+	writeCube(t, lat, set, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := filepath.Join(dir, "cut.x3cf")
+	cut := filepath.Join(dir, "cut.x3ci")
 	for n := 0; n < len(data); n++ {
 		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := Each(cut, func(Cell) error { return nil })
+		err := eachFile(cut, func(Cell) error { return nil })
 		if err == nil {
 			t.Fatalf("cell file truncated to %d of %d bytes read without error", n, len(data))
 		}
@@ -132,70 +138,52 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestTrailerCountMismatchRejected is the regression test for the v1
-// trailer hole: a file whose trailer is not the last thing in it — e.g. a
-// forged or misplaced trailer whose count matches only the cells before
-// it — used to read back "successfully" while silently dropping every
-// cell after the trailer.
+// TestTrailerCountMismatchRejected: a footer whose cell count disagrees
+// with the index, and a file with data after its footer — a valid file
+// with a second copy of its body appended, whose footer then covers only
+// a prefix — must both be refused rather than read as a silently
+// truncated cube.
 func TestTrailerCountMismatchRejected(t *testing.T) {
 	lat := makeLattice(t)
 	set := makeSet(t, lat, 50, 9)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cube.x3cf")
-	sink, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &cube.Input{Lattice: lat, Source: set, Dicts: set.Dicts}
-	if _, err := (cube.Counter{}).Run(in, sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, "cube.x3ci")
+	writeCube(t, lat, set, path)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A trailer whose count simply disagrees with the cells stored.
 	bumped := append([]byte{}, data...)
-	bumped[len(bumped)-1]++
-	miscounted := filepath.Join(dir, "miscounted.x3cf")
+	bumped[len(bumped)-footerLenCRC+7]++
+	miscounted := filepath.Join(dir, "miscounted.x3ci")
 	if err := os.WriteFile(miscounted, bumped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Each(miscounted, func(Cell) error { return nil }); err == nil {
-		t.Error("trailer count mismatch read without error")
+	if err := eachFile(miscounted, func(Cell) error { return nil }); err == nil {
+		t.Error("footer count mismatch read without error")
 	}
 
-	// An early trailer: take a valid file and append a full extra copy of
-	// its cell section after the trailer. The trailer count agrees with
-	// the cells read up to it but not with the cells actually stored.
 	early := append([]byte{}, data...)
-	early = append(early, data[5:]...)
-	earlyPath := filepath.Join(dir, "early.x3cf")
+	early = append(early, data[headerLen:]...)
+	earlyPath := filepath.Join(dir, "early.x3ci")
 	if err := os.WriteFile(earlyPath, early, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var read int
-	err = Each(earlyPath, func(Cell) error { read++; return nil })
+	err = eachFile(earlyPath, func(Cell) error { read++; return nil })
 	if err == nil {
-		t.Errorf("early trailer read without error (%d cells silently dropped)", read)
+		t.Errorf("data after the footer read without error (%d cells read)", read)
 	}
 }
 
 func TestLargePointIDsSurvive(t *testing.T) {
-	// Point IDs whose uvarint encoding starts with a continuation byte
-	// must not be confused with markers.
-	path := filepath.Join(t.TempDir(), "big.x3cf")
-	sink, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Point IDs whose uvarint encoding spans several bytes must round-trip.
+	path := filepath.Join(t.TempDir(), "big.x3ci")
+	sink := CreateIndexed(path)
 	var s agg.State
 	s.Add(1)
-	pts := []uint32{0, 1, 127, 128, 255, 1 << 20}
+	pts := []uint32{0, 1, 127, 128, 255, 1 << 20, 1<<32 - 1}
 	for _, p := range pts {
 		if err := sink.Cell(p, []match.ValueID{match.ValueID(p)}, s); err != nil {
 			t.Fatal(err)
@@ -205,7 +193,7 @@ func TestLargePointIDsSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	err = Each(path, func(c Cell) error {
+	err := eachFile(path, func(c Cell) error {
 		if c.Point != pts[i] || c.Key[0] != match.ValueID(pts[i]) {
 			t.Fatalf("cell %d: %+v, want point %d", i, c, pts[i])
 		}
@@ -222,39 +210,158 @@ func TestLargePointIDsSurvive(t *testing.T) {
 
 func TestOpenErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := Each(filepath.Join(dir, "missing"), nil); err == nil {
+	if _, err := OpenIndexed(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad")
-	if err := os.WriteFile(bad, []byte("nope"), 0o644); err != nil {
+	if err := os.WriteFile(bad, bytes.Repeat([]byte("nope"), 10), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Each(bad, nil); err == nil {
-		t.Error("bad magic accepted")
+	if _, err := OpenIndexed(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bad magic: %v; want ErrCorrupt", err)
 	}
+	// The retired v1 stream: a header, one record marker, then garbage.
 	garbled := filepath.Join(dir, "garbled")
 	if err := os.WriteFile(garbled, []byte{'X', '3', 'C', 'F', 1, 0x7E}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Each(garbled, func(Cell) error { return nil }); err == nil {
-		t.Error("corrupt marker accepted")
+	if err := eachFile(garbled, func(Cell) error { return nil }); err == nil {
+		t.Error("v1 stream accepted")
 	}
 }
 
 func TestEmptyCube(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.x3cf")
-	sink, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "empty.x3ci")
+	if err := CreateIndexed(path).Close(); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := Each(path, func(Cell) error { n++; return nil }); err != nil {
+	if err := eachFile(path, func(Cell) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Fatalf("cells = %d", n)
+	}
+}
+
+// TestWriterRejectsOutOfOrder: the streaming writer holds one block, so
+// it cannot sort; a cell before its predecessor must fail, not write a
+// file whose index lies.
+func TestWriterRejectsOutOfOrder(t *testing.T) {
+	var s agg.State
+	s.Add(1)
+	for _, c := range []struct {
+		name   string
+		first  Cell
+		second Cell
+	}{
+		{"point", Cell{Point: 2}, Cell{Point: 1}},
+		{"key", Cell{Point: 1, Key: []match.ValueID{5, 1}}, Cell{Point: 1, Key: []match.ValueID{4, 9}}},
+		{"prefix", Cell{Point: 1, Key: []match.ValueID{5, 1}}, Cell{Point: 1, Key: []match.ValueID{5}}},
+	} {
+		w := NewWriter(io.Discard, 0)
+		if err := w.Cell(c.first.Point, c.first.Key, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Cell(c.second.Point, c.second.Key, s); err == nil {
+			t.Errorf("%s: out-of-order cell accepted", c.name)
+		}
+		if err := w.Finish(); err == nil {
+			t.Errorf("%s: Finish after a refused cell succeeded", c.name)
+		}
+	}
+	// Equal cells keep their order, as the sorting sink always did.
+	w := NewWriter(io.Discard, 0)
+	for i := 0; i < 2; i++ {
+		if err := w.Cell(3, []match.ValueID{1}, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Cell(4, nil, s); err == nil {
+		t.Error("cell accepted after Finish")
+	}
+}
+
+// randomCells returns n distinct cells in random order.
+func randomCells(n int, seed int64) []Cell {
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[[3]uint32]bool{}
+	var cells []Cell
+	for len(cells) < n {
+		k := [3]uint32{uint32(rng.Intn(40)), uint32(rng.Intn(1000)), uint32(rng.Intn(1000))}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		var s agg.State
+		s.Add(float64(rng.Intn(100)))
+		cells = append(cells, Cell{Point: k[0], Key: []match.ValueID{match.ValueID(k[1]), match.ValueID(k[2])}, State: s})
+	}
+	return cells
+}
+
+// TestSinkSpillsUnderBound: a sink whose buffer bound holds a fraction of
+// the cells spills sorted runs and merges them into a file byte-identical
+// to the unbounded one, leaving no run behind.
+func TestSinkSpillsUnderBound(t *testing.T) {
+	cells := randomCells(5*minRunCells, 3)
+	dir := t.TempDir()
+	write := func(name string, bufferBytes int64) ([]byte, int) {
+		path := filepath.Join(dir, name)
+		sink := CreateIndexed(path)
+		sink.BlockCells = 16
+		sink.BufferBytes = bufferBytes
+		for _, c := range cells {
+			if err := sink.Cell(c.Point, c.Key, c.State); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runs := len(sink.runs)
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, runs
+	}
+	want, runs := write("all.x3ci", 0)
+	if runs != 0 {
+		t.Fatalf("unbudgeted sink spilled %d runs", runs)
+	}
+	bound := int64(minRunCells * (cellBytes + 8))
+	got, runs := write("bounded.x3ci", bound)
+	if runs < 3 {
+		t.Fatalf("a buffer bound of one run's cells spilled %d runs", runs)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bounded sink wrote a different file")
+	}
+
+	// An aborted sink writes nothing and gives everything back too.
+	aborted := CreateIndexed(filepath.Join(dir, "aborted.x3ci"))
+	aborted.BufferBytes = bound
+	for _, c := range cells {
+		if err := aborted.Cell(c.Point, c.Key, c.State); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(aborted.runs) == 0 {
+		t.Fatal("the aborted sink never spilled")
+	}
+	aborted.Abort()
+	if _, err := os.Stat(filepath.Join(dir, "aborted.x3ci")); !os.IsNotExist(err) {
+		t.Fatalf("aborted sink left a file (stat err %v)", err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.run*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("runs left behind: %v", left)
 	}
 }

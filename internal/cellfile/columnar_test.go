@@ -2,6 +2,7 @@ package cellfile
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"testing"
@@ -171,30 +172,27 @@ func TestColumnarDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestEncodedCellsBytes cross-checks the cost model's size estimator
-// against the writer: the estimate must equal the real data section.
+// TestEncodedCellsBytes cross-checks the cost model's pricing — cells
+// streamed through a Writer that discards its output — against the file:
+// the priced bytes must equal the real data section.
 func TestEncodedCellsBytes(t *testing.T) {
 	lat := makeLattice(t)
 	set := makeSet(t, lat, 500, 4)
 	path := filepath.Join(t.TempDir(), "est.x3ci")
-	sink := CreateIndexed(path)
-	in := &cube.Input{Lattice: lat, Source: set, Dicts: set.Dicts}
-	if _, err := (cube.Counter{}).Run(in, sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeCube(t, lat, set, path)
 	r, err := OpenIndexed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	var sorted []Cell
-	if err := r.Each(func(c Cell) error { sorted = append(sorted, c); return nil }); err != nil {
+	w := NewWriter(io.Discard, 0)
+	if err := r.Each(func(c Cell) error { return w.Cell(c.Point, c.Key, c.State) }); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := EncodedCellsBytes(sorted, 0), r.DataBytes(); got != want {
-		t.Fatalf("EncodedCellsBytes = %d, file data section = %d", got, want)
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.DataBytes(), r.DataBytes(); got != want {
+		t.Fatalf("priced %d bytes, file data section = %d", got, want)
 	}
 }

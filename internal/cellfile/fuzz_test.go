@@ -10,31 +10,6 @@ import (
 	"x3/internal/match"
 )
 
-// fuzzSeedV1 builds a small valid v1 cell file in memory.
-func fuzzSeedV1(tb testing.TB) []byte {
-	tb.Helper()
-	path := filepath.Join(tb.TempDir(), "seed.x3cf")
-	sink, err := Create(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var s agg.State
-	s.Add(2)
-	for p := uint32(0); p < 4; p++ {
-		if err := sink.Cell(p, []match.ValueID{match.ValueID(p), 300}, s); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
-
 // fuzzSeedIndexed builds a small valid indexed cell file in memory.
 func fuzzSeedIndexed(tb testing.TB) []byte {
 	tb.Helper()
@@ -59,33 +34,40 @@ func fuzzSeedIndexed(tb testing.TB) []byte {
 	return data
 }
 
-// FuzzCellfile throws arbitrary bytes at both reader paths — the v1
-// streaming reader and the indexed open/scan — which must reject
-// corrupt input with an error, never panic, and never trust an
-// attacker-chosen count or offset enough to allocate unboundedly. The
-// seeds cover both valid formats plus the historically dangerous shapes:
-// truncation, forged trailers, corrupt markers, oversized uvarints, and
-// headers claiming the retired v2/v3 indexed versions.
+// FuzzCellfile throws arbitrary bytes at the indexed reader — open,
+// sequential scan and random access — which must reject corrupt input
+// with an error, never panic, and never trust an attacker-chosen count or
+// offset enough to allocate unboundedly. The seeds cover valid files plus
+// the historically dangerous shapes: truncation, forged footers, data
+// after the footer, oversized uvarints, and headers claiming the retired
+// v1 stream or v2/v3 indexed versions.
 func FuzzCellfile(f *testing.F) {
-	v1 := fuzzSeedV1(f)
 	v4 := fuzzSeedIndexed(f)
+	emptyPath := filepath.Join(f.TempDir(), "empty.x3ci")
+	if err := CreateIndexed(emptyPath).Close(); err != nil {
+		f.Fatal(err)
+	}
+	empty, err := os.ReadFile(emptyPath)
+	if err != nil {
+		f.Fatal(err)
+	}
 	withByte := func(b []byte, at int, set func(byte) byte) []byte {
 		out := append([]byte{}, b...)
 		out[at] = set(out[at])
 		return out
 	}
-	f.Add(v1)
+	f.Add(empty)
 	f.Add(withByte(v4, 4, func(byte) byte { return 2 })) // retired version 2 header
 	f.Add(withByte(v4, 4, func(byte) byte { return 3 })) // retired version 3 header
 	f.Add(v4)
-	f.Add(v1[:len(v1)-3])              // truncated trailer
-	f.Add(v4[:len(v4)-1])              // footer magic cut short
-	f.Add(v4[:len(v4)-footerLenCRC])   // footer gone entirely
-	f.Add(v4[:len(v4)/2])              // truncated mid-file
-	f.Add(append([]byte{}, v1[:5]...)) // header only, no trailer
-	// Clobber the first record marker.
-	f.Add(withByte(v1, 6, func(byte) byte { return 0x7E }))
-	// An oversized uvarint where a key length belongs.
+	f.Add(v4[:len(v4)-3])                      // footer cut mid-magic
+	f.Add(v4[:len(v4)-1])                      // footer magic cut short
+	f.Add(v4[:len(v4)-footerLenCRC])           // footer gone entirely
+	f.Add(v4[:len(v4)/2])                      // truncated mid-file
+	f.Add(append([]byte{}, v4[:headerLen]...)) // header only
+	// A retired v1 stream header followed by a corrupt record marker.
+	f.Add([]byte{'X', '3', 'C', 'F', 1, 0x7E})
+	// A v1 header with an oversized uvarint where its key length was.
 	huge := []byte{'X', '3', 'C', 'F', 1, 0x01, 0x00}
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(huge)
@@ -105,8 +87,8 @@ func FuzzCellfile(f *testing.F) {
 	badCRC := append([]byte{}, v4...)
 	binary.BigEndian.PutUint32(badCRC[len(badCRC)-footerLenCRC+16:], 0xDEADBEEF)
 	f.Add(badCRC)
-	// An early v1 trailer with trailing data (the fixed trailer hole).
-	f.Add(append(append([]byte{}, v1...), v1[5:]...))
+	// Data after the footer: a second copy of the body appended.
+	f.Add(append(append([]byte{}, v4...), v4[headerLen:]...))
 	// Columnar shapes: a corrupt value dictionary / run header (any early
 	// data byte participates in the varint streams), a truncated column
 	// tail, an all-continuation-bits varint run, and a damaged block count
@@ -127,21 +109,19 @@ func FuzzCellfile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The version-dispatching entry point: any outcome but a panic or
-		// an unbounded allocation is acceptable; errors are the job.
-		_ = Each(path, func(c Cell) error {
-			if len(c.Key) > 1<<16 {
-				t.Fatalf("reader surfaced an implausible key of %d values", len(c.Key))
-			}
-			return nil
-		})
-		// The indexed reader directly, including its random-access path.
+		// Any outcome but a panic or an unbounded allocation is
+		// acceptable; errors are the job.
 		r, err := OpenIndexed(path)
 		if err != nil {
 			return
 		}
 		defer r.Close()
-		_ = r.Each(func(Cell) error { return nil })
+		_ = r.Each(func(c Cell) error {
+			if len(c.Key) > 1<<16 {
+				t.Fatalf("reader surfaced an implausible key of %d values", len(c.Key))
+			}
+			return nil
+		})
 		for _, p := range r.Points() {
 			_ = r.EachCuboid(p, func(Cell) error { return nil })
 		}

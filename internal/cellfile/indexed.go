@@ -1,15 +1,14 @@
-// The indexed cell-file format (v4). Where v1 is a write-once stream that
-// can only be consumed front to back, the indexed file lays the cells out
-// sorted by (point id, key) and appends a sparse block index plus a
-// per-cuboid directory, so a serving layer can answer "give me cuboid P"
-// with one binary search, one seek and a bounded scan instead of a
-// full-file pass. Every data block carries a CRC32-C checksum in its index
-// entry and the index section itself is checksummed in the footer, so a
-// corrupted read is *detected* — and retried, and ultimately refused —
-// instead of served as silently wrong cells. Blocks are stored column-wise
-// (see columnar.go). Versions 2 and 3 were row-wise predecessors of the
-// same container; no writer emits them any more and the reader rejects
-// them as corrupt.
+// The indexed cell-file format (v4), the package's one format. The cells
+// are laid out sorted by (point id, key) with a sparse block index plus a
+// per-cuboid directory appended, so a serving layer can answer "give me
+// cuboid P" with one binary search, one seek and a bounded scan instead of
+// a full-file pass. Every data block carries a CRC32-C checksum in its
+// index entry and the index section itself is checksummed in the footer,
+// so a corrupted read is *detected* — and retried, and ultimately refused
+// — instead of served as silently wrong cells. Blocks are stored
+// column-wise (see columnar.go). Version 1 was an unindexed row stream and
+// versions 2 and 3 row-wise predecessors of this container; no writer
+// emits them any more and the reader rejects them as corrupt.
 //
 // Layout:
 //
@@ -31,7 +30,6 @@
 package cellfile
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -43,10 +41,7 @@ import (
 	"sort"
 	"time"
 
-	"x3/internal/agg"
-	"x3/internal/cube"
 	"x3/internal/fault"
-	"x3/internal/match"
 	"x3/internal/obs"
 )
 
@@ -77,178 +72,10 @@ const (
 	defaultRetryBackoff = 200 * time.Microsecond
 )
 
-// IndexedSink collects cells and writes them as an indexed cell file on
-// Close. It implements cube.Sink, so any cube algorithm can compute
-// straight into it; unlike FileSink it must buffer the cells in memory
-// until Close to sort them, so it suits cubes meant to be *served*, not
-// the unbounded streaming case v1 covers.
-type IndexedSink struct {
-	path string
-	// BlockCells overrides the index block granularity (cells per block);
-	// 0 selects DefaultBlockCells. Set it before Close.
-	BlockCells int
-	// Fault optionally injects write-path faults (crash-safety tests).
-	Fault *fault.Injector
-	cells []Cell
-}
-
-// CreateIndexed returns a sink that will write an indexed cell file at
-// path when closed.
-func CreateIndexed(path string) *IndexedSink {
-	return &IndexedSink{path: path}
-}
-
-// Cell implements cube.Sink.
-func (s *IndexedSink) Cell(point uint32, key []match.ValueID, st agg.State) error {
-	k := make([]match.ValueID, len(key))
-	copy(k, key)
-	s.cells = append(s.cells, Cell{Point: point, Key: k, State: st})
-	return nil
-}
-
-// Cells returns the number of cells collected so far.
-func (s *IndexedSink) Cells() int64 { return int64(len(s.cells)) }
-
-// Close sorts the collected cells by (point, key), writes the indexed
-// file and syncs it to stable storage before returning, so a rename that
-// follows Close publishes fully durable bytes.
-func (s *IndexedSink) Close() error {
-	sort.Slice(s.cells, func(i, j int) bool {
-		a, b := &s.cells[i], &s.cells[j]
-		if a.Point != b.Point {
-			return a.Point < b.Point
-		}
-		n := len(a.Key)
-		if len(b.Key) < n {
-			n = len(b.Key)
-		}
-		for k := 0; k < n; k++ {
-			if a.Key[k] != b.Key[k] {
-				return a.Key[k] < b.Key[k]
-			}
-		}
-		return len(a.Key) < len(b.Key)
-	})
-	f, err := os.Create(s.path)
-	if err != nil {
-		return fmt.Errorf("cellfile: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(s.path)
-		return err
-	}
-	w := bufio.NewWriterSize(s.Fault.Writer("cellfile.write", f), 1<<16)
-	if err := writeIndexed(w, s.cells, s.BlockCells); err != nil {
-		return fail(err)
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(s.path)
-		return err
-	}
-	return nil
-}
-
-var _ cube.Sink = (*IndexedSink)(nil)
-
 func putUvarint(dst []byte, v uint64) []byte {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	return append(dst, buf[:n]...)
-}
-
-// writeIndexed writes the sorted cells, the index and the footer to w.
-func writeIndexed(w io.Writer, cells []Cell, blockCells int) error {
-	if blockCells <= 0 {
-		blockCells = DefaultBlockCells
-	}
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{indexedVersionCol}); err != nil {
-		return err
-	}
-	type blockMetaW struct {
-		off        uint64
-		firstPoint uint32
-		cells      int
-		crc        uint32
-	}
-	var (
-		blocks []blockMetaW
-		buf    []byte
-		off    = uint64(headerLen)
-	)
-	// Whole blocks are encoded at once: the columnar sections need every
-	// cell of the block in hand before any byte is final.
-	for i := 0; i < len(cells); i += blockCells {
-		j := i + blockCells
-		if j > len(cells) {
-			j = len(cells)
-		}
-		buf = appendColumnarBlock(buf[:0], cells[i:j])
-		blocks = append(blocks, blockMetaW{
-			off: off, firstPoint: cells[i].Point, cells: j - i,
-			crc: crc32.Checksum(buf, castagnoli),
-		})
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		off += uint64(len(buf))
-	}
-	indexOff := off
-
-	var idx []byte
-	idx = putUvarint(idx, uint64(len(blocks)))
-	for _, b := range blocks {
-		idx = putUvarint(idx, b.off)
-		idx = putUvarint(idx, uint64(b.firstPoint))
-		idx = putUvarint(idx, uint64(b.cells))
-		idx = putUvarint(idx, uint64(b.crc))
-	}
-	// Cuboid directory: the cells are sorted, so runs of equal points are
-	// contiguous.
-	var dirPoints []uint32
-	var dirCells []uint64
-	for i := 0; i < len(cells); {
-		j := i
-		for j < len(cells) && cells[j].Point == cells[i].Point {
-			j++
-		}
-		dirPoints = append(dirPoints, cells[i].Point)
-		dirCells = append(dirCells, uint64(j-i))
-		i = j
-	}
-	idx = putUvarint(idx, uint64(len(dirPoints)))
-	for i, p := range dirPoints {
-		idx = putUvarint(idx, uint64(p))
-		idx = putUvarint(idx, dirCells[i])
-	}
-	if _, err := w.Write(idx); err != nil {
-		return err
-	}
-
-	var foot [footerLenCRC]byte
-	binary.BigEndian.PutUint64(foot[0:], uint64(len(cells)))
-	binary.BigEndian.PutUint64(foot[8:], indexOff)
-	binary.BigEndian.PutUint32(foot[16:], crc32.Checksum(idx, castagnoli))
-	copy(foot[20:], indexMagic[:])
-	_, err := w.Write(foot[:])
-	return err
-}
-
-// WriteIndexed writes cells (any order; they are sorted in place) as an
-// indexed cell file at path.
-func WriteIndexed(path string, cells []Cell) error {
-	s := CreateIndexed(path)
-	s.cells = cells
-	return s.Close()
 }
 
 // blockMeta is one sparse-index entry of an open reader.

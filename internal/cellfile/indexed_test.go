@@ -80,15 +80,6 @@ func TestIndexedRoundTrip(t *testing.T) {
 	if read != want.Cells {
 		t.Fatalf("read %d cells, oracle has %d", read, want.Cells)
 	}
-
-	// The generic Each entry point must dispatch indexed files too.
-	var viaEach int64
-	if err := Each(path, func(Cell) error { viaEach++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if viaEach != want.Cells {
-		t.Fatalf("Each read %d cells of an indexed file, want %d", viaEach, want.Cells)
-	}
 }
 
 func TestEachCuboidBoundedAndComplete(t *testing.T) {
@@ -305,29 +296,16 @@ func TestIndexedEmptyFile(t *testing.T) {
 
 func TestSinkAccessors(t *testing.T) {
 	dir := t.TempDir()
-	v1, err := Create(filepath.Join(dir, "a.x3cf"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var s agg.State
 	s.Add(1)
-	if err := v1.Cell(0, []match.ValueID{1}, s); err != nil {
+	sink := CreateIndexed(filepath.Join(dir, "b.x3ci"))
+	if err := sink.Cell(0, []match.ValueID{1}, s); err != nil {
 		t.Fatal(err)
 	}
-	if v1.Cells() != 1 {
-		t.Fatalf("v1 sink reports %d cells", v1.Cells())
+	if sink.Cells() != 1 {
+		t.Fatalf("sink reports %d cells", sink.Cells())
 	}
-	if err := v1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v2 := CreateIndexed(filepath.Join(dir, "b.x3ci"))
-	if err := v2.Cell(0, []match.ValueID{1}, s); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Cells() != 1 {
-		t.Fatalf("v2 sink reports %d cells", v2.Cells())
-	}
-	if err := v2.Close(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenIndexed(filepath.Join(dir, "b.x3ci"))
@@ -340,13 +318,10 @@ func TestSinkAccessors(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Unwritable paths surface on Create/Close, not silently.
-	if _, err := Create(filepath.Join(dir, "no-dir", "x.x3cf")); err == nil {
-		t.Error("v1 Create into a missing directory succeeded")
-	}
+	// Unwritable paths surface on Close, not silently.
 	bad := CreateIndexed(filepath.Join(dir, "no-dir", "x.x3ci"))
 	if err := bad.Close(); err == nil {
-		t.Error("v2 Close into a missing directory succeeded")
+		t.Error("Close into a missing directory succeeded")
 	}
 	if NewBlockCacheBytes(0).Budget() != 1 {
 		t.Error("zero-byte cache budget not clamped")

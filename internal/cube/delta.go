@@ -2,6 +2,7 @@ package cube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"x3/internal/agg"
@@ -146,16 +147,22 @@ func (d *Delta) CuboidCells(pid uint32) int64 {
 	return int64(t.len())
 }
 
-// Each streams every cell, cuboids in ascending pid order — the shape a
-// flush feeds to a cell-file sink.
+// Each streams every cell in file order — cuboids by ascending pid, each
+// cuboid's cells by key — so a flush streams it straight into a cell-file
+// writer. The key slice is an arena view, valid only during the call.
 func (d *Delta) Each(fn func(point uint32, key []match.ValueID, s agg.State) error) error {
+	var order []int
 	for _, pid := range d.pids {
 		t := d.tables[pid]
-		err := t.each(func(key []match.ValueID, s *agg.State) error {
-			return fn(pid, key, *s)
-		})
-		if err != nil {
-			return err
+		order = order[:0]
+		for e := range t.states {
+			order = append(order, e)
+		}
+		slices.SortFunc(order, func(a, b int) int { return slices.Compare(t.keyAt(a), t.keyAt(b)) })
+		for _, e := range order {
+			if err := fn(pid, t.keyAt(e), t.states[e]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

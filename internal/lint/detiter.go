@@ -19,8 +19,9 @@ type detiterRoot struct {
 // suites assert byte-equality of cell files, sink output and HTTP
 // responses, so everything these reach must iterate deterministically.
 var detiterRoots = []detiterRoot{
-	// Cell-file writers: every sink method and writer entry point.
-	{"internal/cellfile", regexp.MustCompile(`Sink\.|^Create`)},
+	// Cell-file writers: every sink and writer method, and every writer
+	// and merge entry point.
+	{"internal/cellfile", regexp.MustCompile(`Sink\.|Writer\.|^(Create|Write|Merge)`)},
 	// v4 column encoders: the columnar-block and packed-state encoders
 	// are rooted directly, not just via Sink reachability — the
 	// differential suites compare v4 files byte-for-byte, so a map range

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"sync/atomic"
 
 	"x3/internal/cellfile"
@@ -9,26 +10,26 @@ import (
 	"x3/internal/lattice"
 )
 
-// selectBudget prices every cuboid of res with the v4 columnar encoder and
-// runs the greedy benefit-per-byte selection under opt.SpaceBudget. weights
-// and discount carry live workload stats into the model (nil/0 at build
-// time, when no queries have been observed yet).
+// selectBudget prices every cuboid of res by the data bytes a cell-file
+// writer encodes it into and runs the greedy benefit-per-byte selection
+// under opt.SpaceBudget. weights and discount carry live workload stats
+// into the model (nil/0 at build time, when no queries have been observed
+// yet).
 func selectBudget(lat *lattice.Lattice, props cube.Props, res *cube.Result, baseRows int, opt Options, weights []float64, discount float64) (map[uint32]bool, []costmodel.Decision, error) {
 	cands := make([]costmodel.Candidate, 0, lat.Size())
-	var buf []cellfile.Cell
 	for _, p := range lat.Points() {
 		pid := lat.ID(p)
-		keys := res.Keys(p)
-		buf = buf[:0]
-		for _, key := range keys {
+		w := cellfile.NewWriter(io.Discard, opt.BlockCells)
+		for _, key := range res.Keys(p) {
 			st, _ := res.State(p, key)
-			buf = append(buf, cellfile.Cell{Point: pid, Key: key, State: st})
+			if err := w.Cell(pid, key, st); err != nil {
+				return nil, nil, err
+			}
 		}
-		cands = append(cands, costmodel.Candidate{
-			PID:   pid,
-			Cells: int64(len(keys)),
-			Bytes: cellfile.EncodedCellsBytes(buf, opt.BlockCells),
-		})
+		if err := w.Finish(); err != nil {
+			return nil, nil, err
+		}
+		cands = append(cands, costmodel.Candidate{PID: pid, Cells: w.Cells(), Bytes: w.DataBytes()})
 	}
 	rows := int64(baseRows)
 	if rows < 1 {

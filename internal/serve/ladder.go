@@ -7,13 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
-	"x3/internal/agg"
 	"x3/internal/cellfile"
 	"x3/internal/costmodel"
 	"x3/internal/cube"
-	"x3/internal/extsort"
 	"x3/internal/fault"
 	"x3/internal/lattice"
 	"x3/internal/match"
@@ -403,8 +402,8 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	}
 	name := genName("delta", s.man.NextGen)
 	full := filepath.Join(s.dir, name)
-	rdr, cells, err := s.publish(full, func(sink *cellfile.IndexedSink) error {
-		return s.mem.Each(sink.Cell)
+	rdr, cells, err := s.publish(full, func(w *cellfile.Writer) error {
+		return s.mem.Each(w.Cell)
 	})
 	if err != nil {
 		return err
@@ -441,44 +440,6 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	return nil
 }
 
-// cellRows adapts a generation file's cell stream to the merge's row
-// shape: [4-byte big-endian point | packed key | encoded state]. The
-// point+key prefix is the merge ordering; the state trails so equal
-// prefixes from different generations merge.
-type cellRows struct {
-	it  *cellfile.CellIterator
-	row []byte
-}
-
-func newCellRows(r *cellfile.IndexedReader) (*cellRows, error) {
-	c := &cellRows{it: r.Iterate()}
-	return c, c.Next()
-}
-
-func (c *cellRows) Cur() []byte { return c.row }
-
-func (c *cellRows) Next() error {
-	cell, err := c.it.Next()
-	if err != nil {
-		c.row = nil
-		return err
-	}
-	if cell == nil {
-		c.row = nil
-		return nil
-	}
-	row := c.row[:0]
-	row = append(row, byte(cell.Point>>24), byte(cell.Point>>16), byte(cell.Point>>8), byte(cell.Point))
-	row = packKey(row, cell.Key)
-	var enc [agg.EncodedSize]byte
-	cell.State.Encode(enc[:])
-	c.row = append(row, enc[:]...)
-	return nil
-}
-
-// rowPrefix returns the merge-ordering prefix (point + key) of a row.
-func rowPrefix(row []byte) []byte { return row[:len(row)-agg.EncodedSize] }
-
 // Compact merges the base generation and every outstanding delta into a
 // new base file — the loser-tree k-way merge of extsort, with equal
 // (cuboid, group) cells re-aggregated across generations — and swaps the
@@ -507,6 +468,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 		return nil
 	}
 	start := time.Now()
+	gens := append([]*cellfile.IndexedReader{oldRdr}, oldDeltas...)
 
 	// Under a space budget the compaction is also the adaptation point:
 	// re-run the cost-model selection with the live query weights and
@@ -517,7 +479,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	var newDecisions []costmodel.Decision
 	filter := false
 	if s.spaceBudget > 0 {
-		pids, set, decisions, err := s.budgetKeep(append([]*cellfile.IndexedReader{oldRdr}, oldDeltas...))
+		pids, set, decisions, err := s.budgetKeep(gens)
 		if err != nil {
 			return err
 		}
@@ -525,43 +487,28 @@ func (s *Store) compactLocked(ctx context.Context) error {
 		filter = len(pids) != len(s.man.Keep)
 	}
 
-	srcs := make([]extsort.MergeSource, 0, 1+len(oldDeltas))
-	for _, r := range append([]*cellfile.IndexedReader{oldRdr}, oldDeltas...) {
-		cr, err := newCellRows(r)
-		if err != nil {
-			return err
-		}
-		srcs = append(srcs, cr)
-	}
-
 	name := genName("base", s.man.NextGen)
 	full := filepath.Join(s.dir, name)
-	rdr, cells, err := s.publish(full, func(sink *cellfile.IndexedSink) error {
-		var pending []byte
+	rdr, cells, err := s.publish(full, func(w *cellfile.Writer) error {
+		// pend accumulates one (cuboid, group) cell across generations; the
+		// merge delivers equal cells adjacently.
+		var pend cellfile.Cell
+		have := false
 		emitPending := func() error {
-			if pending == nil {
+			if !have || filter && !newKeepSet[pend.Point] {
 				return nil
 			}
-			pid := uint32(pending[0])<<24 | uint32(pending[1])<<16 | uint32(pending[2])<<8 | uint32(pending[3])
-			if filter && !newKeepSet[pid] {
-				return nil
-			}
-			key := unpackKey(pending[4 : len(pending)-agg.EncodedSize])
-			st := agg.Decode(pending[len(pending)-agg.EncodedSize:])
-			return sink.Cell(pid, key, st)
+			return w.Cell(pend.Point, pend.Key, pend.State)
 		}
-		cmp := func(a, b []byte) int { return bytes.Compare(rowPrefix(a), rowPrefix(b)) }
-		err := extsort.Merge(ctx, srcs, cmp, func(_ int, row []byte) error {
-			if pending != nil && bytes.Equal(rowPrefix(pending), rowPrefix(row)) {
-				st := agg.Decode(pending[len(pending)-agg.EncodedSize:])
-				st.Merge(agg.Decode(row[len(row)-agg.EncodedSize:]))
-				st.Encode(pending[len(pending)-agg.EncodedSize:])
+		err := cellfile.Merge(ctx, gens, func(c cellfile.Cell) error {
+			if have && c.Point == pend.Point && slices.Equal(c.Key, pend.Key) {
+				pend.State.Merge(c.State)
 				return nil
 			}
 			if err := emitPending(); err != nil {
 				return err
 			}
-			pending = append(pending[:0], row...)
+			pend.Point, pend.Key, pend.State, have = c.Point, append(pend.Key[:0], c.Key...), c.State, true
 			return nil
 		})
 		if err != nil {

@@ -242,23 +242,17 @@ func (s *Store) openGen(path string) (*cellfile.IndexedReader, error) {
 }
 
 // publish writes one generation cell file at path, crash-safely: emit
-// streams the cells into a sink, Close sorts them into a temp file and
-// syncs it, and the temp file is re-opened — a structural validation —
+// streams the cells, in file order, through a cellfile.Writer into a
+// temp file that is synced, then re-opened — a structural validation —
 // before it is renamed over path. A write fault or crash at any point
 // leaves path untouched: the previous generation, if one exists, keeps
 // serving. On success the validated reader over the new generation is
 // returned with its cell count.
-func (s *Store) publish(path string, emit func(*cellfile.IndexedSink) error) (*cellfile.IndexedReader, int64, error) {
+func (s *Store) publish(path string, emit func(*cellfile.Writer) error) (*cellfile.IndexedReader, int64, error) {
 	tmp := path + ".tmp"
-	sink := cellfile.CreateIndexed(tmp)
-	sink.BlockCells = s.blockCells
-	sink.Fault = s.fault
-	if err := emit(sink); err != nil {
-		return nil, 0, err // the sink creates its file only in Close
-	}
-	cells := sink.Cells()
-	if err := sink.Close(); err != nil {
-		return nil, 0, err // the sink removes tmp on a failed close
+	cells, err := cellfile.WriteFile(tmp, s.blockCells, s.fault, emit)
+	if err != nil {
+		return nil, 0, err // WriteFile removes tmp on failure
 	}
 	rdr, err := s.openGen(tmp)
 	if err != nil {
@@ -277,9 +271,11 @@ func (s *Store) publish(path string, emit func(*cellfile.IndexedSink) error) (*c
 }
 
 // emitResult streams the kept cuboids of a computed cube into a
-// generation sink (the base generation Build and BuildDir publish).
-func emitResult(lat *lattice.Lattice, res *cube.Result, keep map[uint32]bool) func(*cellfile.IndexedSink) error {
-	return func(sink *cellfile.IndexedSink) error {
+// generation writer (the base generation Build and BuildDir publish):
+// points ascend by pid and Result.Keys are sorted, so the cells arrive in
+// file order.
+func emitResult(lat *lattice.Lattice, res *cube.Result, keep map[uint32]bool) func(*cellfile.Writer) error {
+	return func(w *cellfile.Writer) error {
 		for _, p := range lat.Points() {
 			pid := lat.ID(p)
 			if !keep[pid] {
@@ -290,7 +286,7 @@ func emitResult(lat *lattice.Lattice, res *cube.Result, keep map[uint32]bool) fu
 				if !ok {
 					return fmt.Errorf("serve: cuboid %s lost cell %v", lat.Label(p), key)
 				}
-				if err := sink.Cell(pid, key, st); err != nil {
+				if err := w.Cell(pid, key, st); err != nil {
 					return err
 				}
 			}
@@ -476,10 +472,8 @@ func (s *Store) absorbProps(delta *match.Set) (cube.Props, error) {
 	return next, nil
 }
 
-// packKey encodes a group key as big-endian bytes (byte order = value
-// order), so packed keys compare byte-wise like the keys they encode —
-// the order compaction's merge relies on. The planner uses them as group
-// map keys.
+// packKey encodes a group key as big-endian bytes; the planner uses
+// packed keys as group map keys.
 func packKey(dst []byte, vals []match.ValueID) []byte {
 	for _, v := range vals {
 		var b [4]byte
