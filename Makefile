@@ -38,10 +38,11 @@ fuzz-replay:
 # sjoin evaluator over the shared buffer pool, the parallel lattice
 # harness, the match-plan cache, the admission controller, and the
 # load-harness soak (concurrent queries + appends + compaction against a
-# subset oracle), and the sharded coordinator's scatter/failover/hedge/
-# probe machinery plus its own soak — under the race detector.
+# subset oracle), the sharded coordinator's scatter/failover/hedge/
+# probe machinery plus its own soak, and the cell-file readers' pooled
+# block decoders over a shared block cache — under the race detector.
 race:
-	$(GO) test -race ./internal/cube/... ./internal/extsort/... ./internal/harness/... ./internal/match/... ./internal/mem/... ./internal/sjoin/... ./internal/store/... ./internal/obs/... ./internal/serve/... ./internal/admit/... ./internal/servehttp/... ./internal/load/... ./internal/shard/... ./cmd/x3serve/
+	$(GO) test -race ./internal/cellfile/... ./internal/cube/... ./internal/extsort/... ./internal/harness/... ./internal/match/... ./internal/mem/... ./internal/sjoin/... ./internal/store/... ./internal/obs/... ./internal/serve/... ./internal/admit/... ./internal/servehttp/... ./internal/load/... ./internal/shard/... ./cmd/x3serve/
 
 # Short fuzz smoke of the query parser, the cell-file readers, the
 # store's meta page and the write-ahead log (the CI-sized budget).

@@ -31,7 +31,7 @@ func main() {
 		budget    = flag.Int64("budget", 0, "memory budget in bytes (0 = unlimited)")
 		dtdFile   = flag.String("dtdfile", "", "DTD for schema-driven CUST optimization")
 		csvPath   = flag.String("csv", "", "write all cube cells as CSV here")
-		cellsPath = flag.String("cells", "", "write all cube cells to an indexed cell file here (under -budget they spill in sorted runs instead of collecting in memory)")
+		cellsPath = flag.String("cells", "", "write all cube cells to an indexed cell file here (they spill in sorted runs past -budget bytes, or past 64 MiB without one, instead of collecting in memory)")
 		cuboid    = flag.String("cuboid", "", `print one cuboid, e.g. '$n=rigid,$y=LND'`)
 		lattice   = flag.Bool("lattice", false, "print the query's relaxed-cube lattice (Fig. 3 style) and exit")
 		list      = flag.Bool("list", false, "list algorithms and exit")

@@ -91,7 +91,7 @@ func main() {
 		flushN   = flag.Int("flush-cells", 0, "memtable cells that trigger an automatic flush (0 = default, negative = manual only)")
 		compactN = flag.Int("compact-after", 0, "outstanding deltas that trigger background compaction (0 = default, negative = manual only)")
 		addr     = flag.String("addr", ":8733", "HTTP listen address")
-		cacheB   = flag.Int64("cache-bytes", 0, "LRU block cache budget in encoded block bytes (0 = default 1 MiB, negative disables)")
+		cacheB   = flag.Int64("cache-bytes", 0, "LRU block cache budget in bytes of memory held by decoded blocks; cuboid reads larger than it bypass the cache (0 = default 1 MiB, negative disables)")
 
 		maxInFlight     = flag.Int("max-inflight", 64, "max concurrently executing requests; excess load is shed with 503 (0 disables)")
 		backgroundMax   = flag.Int("background-max", 0, "max concurrently executing background requests (/append, /refresh); 0 = half of -max-inflight, negative = uncapped")

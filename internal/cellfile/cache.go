@@ -15,18 +15,17 @@ var readerGen atomic.Uint64
 
 func nextReaderGen() uint64 { return readerGen.Add(1) }
 
-// DefaultBlockBytes is the nominal size of DefaultBlockCells row-encoded
-// cells — the unit default cache budgets are stated in.
+// DefaultBlockBytes is the nominal heap of one decoded block:
+// DefaultBlockCells cells at the size of a Cell, keys aside — the unit
+// default cache budgets are stated in.
 const DefaultBlockBytes = 16 << 10
 
 // BlockCache is a byte-budgeted LRU over decoded index blocks. It is safe
 // for concurrent use and may be shared by any number of readers. Each
-// entry is charged its block's *encoded* length: residency is measured in
-// on-disk bytes, so a columnar block that compresses 5x occupies 5x less
-// budget than its row-wise encoding would and the same budget holds 5x
-// more cuboids — which is the point of compressing them. (The decoded
-// cells the cache actually holds are the same size either way; the budget
-// prices what the compression saved, not Go heap bytes.)
+// entry is charged the Go heap it holds — its cells plus their keys — so
+// the budget bounds memory: the cache's resident heap stays within the
+// budget plus the one block last inserted. A read whose cells alone
+// exceed the budget does not insert at all (see IndexedReader.keeps).
 type BlockCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -48,7 +47,7 @@ type blockEntry struct {
 }
 
 // NewBlockCacheBytes returns a cache that evicts least-recently-used
-// blocks once the sum of cached encoded block lengths exceeds budget
+// blocks once the heap of the cached blocks exceeds budget bytes
 // (minimum one block stays resident regardless).
 func NewBlockCacheBytes(budget int64) *BlockCache {
 	if budget < 1 {
@@ -58,7 +57,7 @@ func NewBlockCacheBytes(budget int64) *BlockCache {
 }
 
 // Observe resolves the serve.cache.bytes gauge against reg, tracking the
-// cache's current encoded-byte residency. A nil registry leaves it off.
+// cache's current heap in bytes. A nil registry leaves it off.
 func (c *BlockCache) Observe(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -76,7 +75,7 @@ func (c *BlockCache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes returns the total encoded length of the cached blocks.
+// Bytes returns the heap of the cached blocks, cells and keys.
 func (c *BlockCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,7 +97,9 @@ func (c *BlockCache) get(gen uint64, block int) ([]Cell, bool) {
 }
 
 // put inserts the decoded block under its key, charging cost bytes (the
-// block's encoded length; a floor of 1 keeps degenerate entries evictable).
+// heap of its cells and keys; a floor of 1 keeps degenerate entries
+// evictable). The cells are the cache's from here on: nothing may write
+// them.
 func (c *BlockCache) put(gen uint64, block int, cells []Cell, cost int64) {
 	if cost < 1 {
 		cost = 1

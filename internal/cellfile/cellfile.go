@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"unsafe"
 
 	"x3/internal/agg"
 	"x3/internal/cube"
@@ -194,15 +195,7 @@ func WriteFile(path string, blockCells int, inj *fault.Injector, fill func(*Writ
 	if err != nil {
 		return 0, fmt.Errorf("cellfile: %w", err)
 	}
-	bw := bufio.NewWriterSize(inj.Writer("cellfile.write", f), 1<<16)
-	w := NewWriter(bw, blockCells)
-	err = fill(w)
-	if err == nil {
-		err = w.Finish()
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
+	n, err := writeCells(f, blockCells, inj, fill)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -213,16 +206,41 @@ func WriteFile(path string, blockCells int, inj *fault.Injector, fill func(*Writ
 		os.Remove(path)
 		return 0, err
 	}
-	return w.Cells(), nil
+	return n, nil
 }
 
-// cellBytes is the heap a buffered cell takes besides its key values:
-// the Cell struct and the key slice header.
-const cellBytes = 64
+// writeCells streams fill's cells into f through a buffered Writer and
+// flushes it, without syncing. It returns the number of cells written.
+func writeCells(f *os.File, blockCells int, inj *fault.Injector, fill func(*Writer) error) (int64, error) {
+	bw := bufio.NewWriterSize(inj.Writer("cellfile.write", f), 1<<16)
+	w := NewWriter(bw, blockCells)
+	err := fill(w)
+	if err == nil {
+		err = w.Finish()
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	return w.Cells(), err
+}
+
+// cellBytes is the heap a held cell takes besides its key values: the
+// Cell struct, key slice header included. valueBytes is the heap of one
+// key value. Buffered cells (IndexedSink) and cached blocks (BlockCache)
+// are both charged in these units.
+const (
+	cellBytes  = int64(unsafe.Sizeof(Cell{}))
+	valueBytes = int64(unsafe.Sizeof(match.ValueID(0)))
+)
 
 // minRunCells is the smallest run an IndexedSink spills, so however small
 // BufferBytes is, the number of runs Close merges stays bounded.
 const minRunCells = 1 << 12
+
+// DefaultBufferBytes is the spill bound of an IndexedSink whose
+// BufferBytes is left at 0: without a memory budget, a cube still never
+// collects in memory past this many bytes of cells.
+const DefaultBufferBytes = 64 << 20
 
 // IndexedSink writes an indexed cell file from cells in any order. It
 // implements cube.Sink, so any cube algorithm can compute straight into
@@ -238,7 +256,7 @@ type IndexedSink struct {
 	// Fault optionally injects write-path faults (crash-safety tests).
 	Fault *fault.Injector
 	// BufferBytes bounds the heap of the buffered cells, though a run
-	// holds at least minRunCells cells; 0 buffers every cell until Close.
+	// holds at least minRunCells cells; 0 selects DefaultBufferBytes.
 	BufferBytes int64
 	cells       []Cell
 	buffered    int64 // heap of cells, as counted against BufferBytes
@@ -254,13 +272,17 @@ func CreateIndexed(path string) *IndexedSink {
 
 // Cell implements cube.Sink. The key is copied.
 func (s *IndexedSink) Cell(point uint32, key []match.ValueID, st agg.State) error {
-	if s.BufferBytes > 0 && s.buffered >= s.BufferBytes && len(s.cells) >= minRunCells {
+	bound := s.BufferBytes
+	if bound <= 0 {
+		bound = DefaultBufferBytes
+	}
+	if s.buffered >= bound && len(s.cells) >= minRunCells {
 		if err := s.spill(); err != nil {
 			return err
 		}
 	}
 	s.cells = append(s.cells, Cell{Point: point, Key: slices.Clone(key), State: st})
-	s.buffered += cellBytes + 4*int64(len(key))
+	s.buffered += cellBytes + valueBytes*int64(len(key))
 	s.n++
 	return nil
 }
@@ -268,10 +290,21 @@ func (s *IndexedSink) Cell(point uint32, key []match.ValueID, st agg.State) erro
 // Cells returns the number of cells collected so far.
 func (s *IndexedSink) Cells() int64 { return s.n }
 
-// spill writes the sorted buffer as the next run and empties it.
+// spill writes the sorted buffer as the next run and empties it. A run
+// is scratch that Close or Abort removes and no recovery ever reads, so
+// unlike a published file it is not synced.
 func (s *IndexedSink) spill() error {
 	run := fmt.Sprintf("%s.run%d", s.path, len(s.runs))
-	if _, err := WriteFile(run, s.BlockCells, s.Fault, s.writeSorted); err != nil {
+	f, err := os.Create(run)
+	if err != nil {
+		return fmt.Errorf("cellfile: %w", err)
+	}
+	_, err = writeCells(f, s.BlockCells, s.Fault, s.writeSorted)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(run)
 		return err
 	}
 	s.runs = append(s.runs, run)

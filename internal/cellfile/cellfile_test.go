@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"x3/internal/agg"
@@ -51,6 +52,12 @@ func makeSet(t *testing.T, lat *lattice.Lattice, n int, seed int64) *match.Set {
 		set.Facts = append(set.Facts, f)
 	}
 	return set
+}
+
+// cloneCell copies a borrowed cell, key included, so it can be kept.
+func cloneCell(c Cell) Cell {
+	c.Key = slices.Clone(c.Key)
+	return c
 }
 
 // eachFile opens the indexed file at path and streams every cell to fn.

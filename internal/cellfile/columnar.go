@@ -31,8 +31,8 @@
 package cellfile
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -142,75 +142,109 @@ func appendPackedState(dst []byte, s agg.State) []byte {
 	return dst
 }
 
-func readFloatBits(br *bytes.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(buf[:])), nil
+// blockCursor reads a block's varint columns in place, straight out of
+// the block's bytes.
+type blockCursor struct {
+	b   []byte
+	off int
 }
 
-// decodePackedState reads one packed aggregate state. The flag byte is
-// fully validated: unknown bits and contradictory combinations (a value
-// both omitted and varint-encoded) are corruption, not options.
-func decodePackedState(br *bytes.Reader) (agg.State, error) {
-	var s agg.State
-	flags, err := br.ReadByte()
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// varintErr maps a failed binary.Uvarint/Varint byte count to an error.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errVarintOverflow
+}
+
+// left returns the number of unread bytes.
+func (c *blockCursor) left() int { return len(c.b) - c.off }
+
+func (c *blockCursor) uvarint() (uint64, error) {
+	if c.off < len(c.b) && c.b[c.off] < 0x80 {
+		v := c.b[c.off]
+		c.off++
+		return uint64(v), nil
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *blockCursor) varint() (int64, error) {
+	v, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *blockCursor) byte() (byte, error) {
+	if c.off >= len(c.b) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	b := c.b[c.off]
+	c.off++
+	return b, nil
+}
+
+// value reads a packed-state value: a zigzag varint integer when asInt,
+// raw big-endian float bits otherwise.
+func (c *blockCursor) value(asInt bool) (float64, error) {
+	if asInt {
+		v, err := c.varint()
+		return float64(v), err
+	}
+	if c.left() < 8 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v := math.Float64frombits(binary.BigEndian.Uint64(c.b[c.off:]))
+	c.off += 8
+	return v, nil
+}
+
+// decodePackedState reads one packed aggregate state into s. The flag
+// byte is fully validated: unknown bits and contradictory combinations (a
+// value both omitted and varint-encoded) are corruption, not options.
+func decodePackedState(c *blockCursor, s *agg.State) error {
+	flags, err := c.byte()
 	if err != nil {
-		return s, err
+		return err
 	}
 	if flags&^byte(psAll) != 0 {
-		return s, fmt.Errorf("unknown state flags %02x", flags)
+		return fmt.Errorf("unknown state flags %02x", flags)
 	}
 	if flags&psMaxSame != 0 && flags&psMaxInt != 0 {
-		return s, fmt.Errorf("contradictory max flags %02x", flags)
+		return fmt.Errorf("contradictory max flags %02x", flags)
 	}
 	if flags&psSumNMin != 0 && flags&psSumInt != 0 {
-		return s, fmt.Errorf("contradictory sum flags %02x", flags)
+		return fmt.Errorf("contradictory sum flags %02x", flags)
 	}
-	n, err := binary.ReadUvarint(br)
+	n, err := c.uvarint()
 	if err != nil {
-		return s, err
+		return err
 	}
 	s.N = int64(n)
-	if flags&psMinInt != 0 {
-		v, err := binary.ReadVarint(br)
-		if err != nil {
-			return s, err
-		}
-		s.MinV = float64(v)
-	} else if s.MinV, err = readFloatBits(br); err != nil {
-		return s, err
+	if s.MinV, err = c.value(flags&psMinInt != 0); err != nil {
+		return err
 	}
-	switch {
-	case flags&psMaxSame != 0:
+	if flags&psMaxSame != 0 {
 		s.MaxV = s.MinV
-	case flags&psMaxInt != 0:
-		v, err := binary.ReadVarint(br)
-		if err != nil {
-			return s, err
-		}
-		s.MaxV = float64(v)
-	default:
-		if s.MaxV, err = readFloatBits(br); err != nil {
-			return s, err
-		}
+	} else if s.MaxV, err = c.value(flags&psMaxInt != 0); err != nil {
+		return err
 	}
-	switch {
-	case flags&psSumNMin != 0:
+	if flags&psSumNMin != 0 {
 		s.Sum = s.MinV * float64(s.N)
-	case flags&psSumInt != 0:
-		v, err := binary.ReadVarint(br)
-		if err != nil {
-			return s, err
-		}
-		s.Sum = float64(v)
-	default:
-		if s.Sum, err = readFloatBits(br); err != nil {
-			return s, err
-		}
+	} else if s.Sum, err = c.value(flags&psSumInt != 0); err != nil {
+		return err
 	}
-	return s, nil
+	return nil
 }
 
 // appendColumnarBlock appends the v4 columnar encoding of cells to dst.
@@ -286,12 +320,43 @@ func appendColumnarBlock(dst []byte, cells []Cell) []byte {
 	return dst
 }
 
-// decodeColumnarBlock parses exactly count cells out of a v4 block. Key
-// slices are carved from one shared arena (decoded blocks are treated as
-// immutable by every caller, cached or not).
-func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
-	br := bytes.NewReader(buf)
-	claimed, err := binary.ReadUvarint(br)
+// blockRun is one point/key-length run of a decoded block.
+type blockRun struct {
+	n    int // cells in the run
+	klen int // key length shared by the run's cells
+}
+
+// blockDecoder decodes v4 blocks into memory it keeps: the read buffer,
+// cells, runs, dictionary and key arena of one block are reused by the
+// next, so a warm decoder allocates nothing per block. The cells decode
+// returns, keys included, are borrowed until the decoder's next decode.
+// forget detaches the current cells and arena, so a caller that keeps
+// decoded cells (the block cache) decodes them into memory of their own
+// and the decoder's next decode allocates afresh. A blockDecoder is not
+// safe for concurrent use.
+type blockDecoder struct {
+	buf   []byte // the block's bytes, as read (see IndexedReader.readBlockFresh)
+	cells []Cell
+	runs  []blockRun
+	dict  []match.ValueID
+	arena []match.ValueID
+}
+
+// forget drops the decoder's cells and key arena without reusing them.
+func (d *blockDecoder) forget() { d.cells, d.arena = nil, nil }
+
+// heap returns the Go heap the decoder's cells and key arena occupy.
+func (d *blockDecoder) heap() int64 {
+	return int64(cap(d.cells))*cellBytes + int64(cap(d.arena))*valueBytes
+}
+
+// decode parses exactly count cells out of a v4 block, overwriting the
+// previous block's. Key slices are carved from the decoder's arena;
+// every slot of every returned cell is written, so nothing of an earlier
+// block survives into this one.
+func (d *blockDecoder) decode(buf []byte, count int) ([]Cell, error) {
+	c := blockCursor{b: buf}
+	claimed, err := c.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("cell count: %w", err)
 	}
@@ -299,28 +364,31 @@ func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
 		return nil, fmt.Errorf("block claims %d cells, index says %d", claimed, count)
 	}
 	if count == 0 {
-		if br.Len() != 0 {
-			return nil, fmt.Errorf("%d stray bytes after empty block", br.Len())
+		if c.left() != 0 {
+			return nil, fmt.Errorf("%d stray bytes after empty block", c.left())
 		}
 		return nil, nil
 	}
-	cells := make([]Cell, count)
-	klens := make([]int, count)
+	if cap(d.cells) < count {
+		d.cells = make([]Cell, count)
+	}
+	cells := d.cells[:count]
 	// Point / key-length runs.
 	var (
+		runs      = d.runs[:0]
 		covered   = 0
 		point     uint64
 		totalKeys = 0
 	)
 	for covered < count {
-		runLen, err := binary.ReadUvarint(br)
+		runLen, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("run at cell %d: %w", covered, err)
 		}
 		if runLen == 0 || runLen > uint64(count-covered) {
 			return nil, fmt.Errorf("run at cell %d claims %d of %d remaining cells", covered, runLen, count-covered)
 		}
-		delta, err := binary.ReadUvarint(br)
+		delta, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("run at cell %d: %w", covered, err)
 		}
@@ -332,7 +400,7 @@ func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
 		if point > 1<<32-1 {
 			return nil, fmt.Errorf("run at cell %d: point %d overflows", covered, point)
 		}
-		klen, err := binary.ReadUvarint(br)
+		klen, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("run at cell %d: %w", covered, err)
 		}
@@ -343,35 +411,40 @@ func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
 		if totalKeys > maxBlockKeyInts {
 			return nil, fmt.Errorf("block claims %d key values", totalKeys)
 		}
-		for i := 0; i < int(runLen); i++ {
-			cells[covered+i].Point = uint32(point)
-			klens[covered+i] = int(klen)
+		run := cells[covered : covered+int(runLen)]
+		for i := range run {
+			run[i].Point = uint32(point)
 		}
+		runs = append(runs, blockRun{n: int(runLen), klen: int(klen)})
 		covered += int(runLen)
 	}
+	d.runs = runs
 	// Value dictionary: strictly increasing, so deltas after the first
 	// entry must be ≥1.
-	dictN, err := binary.ReadUvarint(br)
+	dictN, err := c.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("dictionary: %w", err)
 	}
-	if dictN > uint64(br.Len())+1 {
-		return nil, fmt.Errorf("dictionary claims %d entries in %d bytes", dictN, br.Len())
+	if dictN > uint64(c.left())+1 {
+		return nil, fmt.Errorf("dictionary claims %d entries in %d bytes", dictN, c.left())
 	}
-	dict := make([]match.ValueID, dictN)
+	if uint64(cap(d.dict)) < dictN {
+		d.dict = make([]match.ValueID, dictN)
+	}
+	dict := d.dict[:dictN]
 	var dv uint64
 	for i := range dict {
-		d, err := binary.ReadUvarint(br)
+		v, err := c.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("dictionary entry %d: %w", i, err)
 		}
 		if i == 0 {
-			dv = d
+			dv = v
 		} else {
-			if d == 0 {
+			if v == 0 {
 				return nil, fmt.Errorf("dictionary entry %d not strictly increasing", i)
 			}
-			dv += d
+			dv += v
 		}
 		if dv > 1<<32-1 {
 			return nil, fmt.Errorf("dictionary entry %d value %d overflows", i, dv)
@@ -380,67 +453,49 @@ func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
 	}
 	// Key column: each key is its shared prefix with the previous key plus
 	// a suffix of dictionary indexes, carved out of one arena.
-	arena := make([]match.ValueID, totalKeys)
+	if cap(d.arena) < totalKeys {
+		d.arena = make([]match.ValueID, totalKeys)
+	}
+	arena := d.arena[:totalKeys]
 	var prev []match.ValueID
-	off := 0
-	for i := range cells {
-		klen := klens[i]
-		key := arena[off : off+klen : off+klen]
-		off += klen
-		if klen > 0 {
-			lcp, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("key %d prefix: %w", i, err)
-			}
-			if lcp > uint64(len(prev)) || lcp > uint64(klen) {
-				return nil, fmt.Errorf("key %d shared prefix %d exceeds bounds (prev %d, klen %d)", i, lcp, len(prev), klen)
-			}
-			copy(key, prev[:lcp])
-			for k := int(lcp); k < klen; k++ {
-				idx, err := binary.ReadUvarint(br)
+	i, off := 0, 0
+	for _, run := range runs {
+		klen := run.klen
+		for end := i + run.n; i < end; i++ {
+			key := arena[off : off+klen : off+klen]
+			off += klen
+			if klen > 0 {
+				lcp, err := c.uvarint()
 				if err != nil {
-					return nil, fmt.Errorf("key %d value %d: %w", i, k, err)
+					return nil, fmt.Errorf("key %d prefix: %w", i, err)
 				}
-				if idx >= dictN {
-					return nil, fmt.Errorf("key %d value %d: dictionary index %d of %d", i, k, idx, dictN)
+				if lcp > uint64(len(prev)) || lcp > uint64(klen) {
+					return nil, fmt.Errorf("key %d shared prefix %d exceeds bounds (prev %d, klen %d)", i, lcp, len(prev), klen)
 				}
-				key[k] = dict[idx]
+				copy(key, prev[:lcp])
+				for k := int(lcp); k < klen; k++ {
+					idx, err := c.uvarint()
+					if err != nil {
+						return nil, fmt.Errorf("key %d value %d: %w", i, k, err)
+					}
+					if idx >= dictN {
+						return nil, fmt.Errorf("key %d value %d: dictionary index %d of %d", i, k, idx, dictN)
+					}
+					key[k] = dict[idx]
+				}
 			}
+			cells[i].Key = key
+			prev = key
 		}
-		cells[i].Key = key
-		prev = key
 	}
 	// Aggregate column.
 	for i := range cells {
-		st, err := decodePackedState(br)
-		if err != nil {
+		if err := decodePackedState(&c, &cells[i].State); err != nil {
 			return nil, fmt.Errorf("state %d: %w", i, err)
 		}
-		cells[i].State = st
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%d stray bytes after %d cells", br.Len(), len(cells))
+	if c.left() != 0 {
+		return nil, fmt.Errorf("%d stray bytes after %d cells", c.left(), len(cells))
 	}
 	return cells, nil
-}
-
-// EncodedCellsBytes returns the total v4-encoded byte size of cells at the
-// given block granularity, without writing anything — the cost model uses
-// it to price a cuboid's residency before deciding to materialize it. The
-// cells must be in file order for representative prefix compression.
-func EncodedCellsBytes(cells []Cell, blockCells int) int64 {
-	if blockCells <= 0 {
-		blockCells = DefaultBlockCells
-	}
-	var total int64
-	var buf []byte
-	for i := 0; i < len(cells); i += blockCells {
-		j := i + blockCells
-		if j > len(cells) {
-			j = len(cells)
-		}
-		buf = appendColumnarBlock(buf[:0], cells[i:j])
-		total += int64(len(buf))
-	}
-	return total
 }

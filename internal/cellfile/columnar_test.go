@@ -1,7 +1,6 @@
 package cellfile
 
 import (
-	"bytes"
 	"io"
 	"math"
 	"path/filepath"
@@ -11,6 +10,12 @@ import (
 	"x3/internal/cube"
 	"x3/internal/match"
 )
+
+// decodeColumnarBlock decodes one block with a fresh decoder, so the
+// cells it returns are the caller's.
+func decodeColumnarBlock(buf []byte, count int) ([]Cell, error) {
+	return new(blockDecoder).decode(buf, count)
+}
 
 // TestColumnarCompression asserts the acceptance floor directly: the
 // columnar data section must be at least 3x smaller than the same cells
@@ -79,14 +84,13 @@ func TestPackedStateBitExact(t *testing.T) {
 		{N: 0, Sum: 0, MinV: inf, MaxV: -inf},
 	}
 	for i, s := range states {
-		buf := appendPackedState(nil, s)
-		br := bytes.NewReader(buf)
-		got, err := decodePackedState(br)
-		if err != nil {
+		c := blockCursor{b: appendPackedState(nil, s)}
+		var got agg.State
+		if err := decodePackedState(&c, &got); err != nil {
 			t.Fatalf("state %d (%+v): decode: %v", i, s, err)
 		}
-		if br.Len() != 0 {
-			t.Fatalf("state %d: %d bytes left over", i, br.Len())
+		if c.left() != 0 {
+			t.Fatalf("state %d: %d bytes left over", i, c.left())
 		}
 		var a, b [agg.EncodedSize]byte
 		s.Encode(a[:])

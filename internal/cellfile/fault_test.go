@@ -193,7 +193,8 @@ func TestEachCuboidCtxCancellation(t *testing.T) {
 }
 
 // TestScanCuboidMatchesIndexedPath asserts the degraded sequential scan
-// returns exactly the cells the fast path returns, for every cuboid.
+// returns exactly the cells the fast path returns, for every cuboid. The
+// yielded cells are borrowed, so the kept ones clone their keys.
 func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
@@ -204,10 +205,10 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range r.Points() {
 		var fast, slow []Cell
-		if err := r.EachCuboid(p, func(c Cell) error { fast = append(fast, c); return nil }); err != nil {
+		if err := r.EachCuboid(p, func(c Cell) error { fast = append(fast, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ScanCuboid(ctx, p, func(c Cell) error { slow = append(slow, c); return nil }); err != nil {
+		if err := r.ScanCuboid(ctx, p, func(c Cell) error { slow = append(slow, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if len(fast) != len(slow) {

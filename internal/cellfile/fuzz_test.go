@@ -134,6 +134,10 @@ func FuzzCellfile(f *testing.F) {
 // parsers themselves (run headers, dictionary deltas, LCP key encoding,
 // packed aggregate states) prove panic-free and allocation-bounded on
 // arbitrary bytes. Decoded blocks must survive a re-encode round trip.
+// One reused decoder decodes a block of another shape, then the input,
+// then that block again, and each must equal a fresh decode: a stale
+// arena, dictionary or run state left by the previous block, decoded or
+// rejected, shows as a difference.
 func FuzzColumnarBlock(f *testing.F) {
 	var s agg.State
 	s.Add(7.5)
@@ -155,9 +159,28 @@ func FuzzColumnarBlock(f *testing.F) {
 	}
 	f.Add(3, []byte{0x03, 0x80, 0x80, 0x80}) // count 3, runaway varints
 	f.Add(1, []byte{0x01, 0x00, 0x00})       // truncated columns
+	prior := make([]Cell, 40)
+	for i := range prior {
+		prior[i] = Cell{Point: uint32(i / 16), Key: []match.ValueID{7, match.ValueID(i), match.ValueID(3 * i)}, State: s}
+	}
+	priorBuf := appendColumnarBlock(nil, prior)
 	f.Fuzz(func(t *testing.T, count int, data []byte) {
 		if count < 0 || count > 1<<12 {
 			return
+		}
+		var d blockDecoder
+		for i, blk := range []struct {
+			buf   []byte
+			count int
+		}{{priorBuf, len(prior)}, {data, count}, {priorBuf, len(prior)}} {
+			got, gerr := d.decode(blk.buf, blk.count)
+			want, werr := decodeColumnarBlock(blk.buf, blk.count)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("decode %d: reused decoder says %v, fresh decoder %v", i, gerr, werr)
+			}
+			if gerr == nil && !sameCells(got, want) {
+				t.Fatalf("decode %d: reused decoder's cells differ from a fresh decode", i)
+			}
 		}
 		cells, err := decodeColumnarBlock(data, count)
 		if err != nil {

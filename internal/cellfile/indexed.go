@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"x3/internal/fault"
@@ -412,9 +413,25 @@ func (r *IndexedReader) Path() string { return r.path }
 // Close releases the file handle.
 func (r *IndexedReader) Close() error { return r.f.Close() }
 
-// readBlock returns block bi's decoded cells, via the cache when one is
-// attached.
-func (r *IndexedReader) readBlock(bi int) ([]Cell, error) {
+// decoders recycles block decoders across reads: each EachCuboidCtx,
+// ScanCuboid or Each call takes one and returns it when it is done.
+var decoders = sync.Pool{New: func() any { return new(blockDecoder) }}
+
+// keeps reports whether a read of cells cells should insert its blocks
+// into the cache. A read whose decoded cells alone exceed the whole
+// budget could never stay resident — it would only evict everything else
+// on its way through — so it decodes into scratch instead. The cell count
+// comes from the cuboid directory, so the rule is known before any block
+// is read.
+func (r *IndexedReader) keeps(cells int64) bool {
+	return r.cache != nil && cells*cellBytes <= r.cache.Budget()
+}
+
+// readBlock returns block bi's decoded cells. With a cache attached it is
+// consulted first; on a miss the block is read fresh and, when keep is
+// set, decoded into memory of its own and cached, otherwise decoded into
+// d's scratch. Scratch cells are borrowed until d's next decode.
+func (r *IndexedReader) readBlock(d *blockDecoder, bi int, keep bool) ([]Cell, error) {
 	if r.cache != nil {
 		if cells, ok := r.cache.get(r.gen, bi); ok {
 			r.cacheHits.Inc()
@@ -422,22 +439,30 @@ func (r *IndexedReader) readBlock(bi int) ([]Cell, error) {
 		}
 		r.cacheMisses.Inc()
 	}
-	cells, err := r.readBlockFresh(bi)
+	if !keep {
+		return r.readBlockFresh(d, bi)
+	}
+	d.forget() // the cache owns what this decode allocates
+	cells, err := r.readBlockFresh(d, bi)
+	heap := d.heap()
+	d.forget()
 	if err != nil {
 		return nil, err
 	}
-	if r.cache != nil {
-		r.cache.put(r.gen, bi, cells, r.blocks[bi].length)
-	}
+	r.cache.put(r.gen, bi, cells, heap)
 	return cells, nil
 }
 
 // readBlockFresh reads, checksums and decodes block bi straight from the
-// file, bypassing the cache, with the reader's retry budget. A checksum or
-// decode failure is retried like a read error: a transiently corrupted
-// read re-rolls on the next attempt.
-func (r *IndexedReader) readBlockFresh(bi int) ([]Cell, error) {
+// file into d, bypassing the cache, with the reader's retry budget. A
+// checksum or decode failure is retried like a read error: a transiently
+// corrupted read re-rolls on the next attempt.
+func (r *IndexedReader) readBlockFresh(d *blockDecoder, bi int) ([]Cell, error) {
 	b := &r.blocks[bi]
+	if int64(cap(d.buf)) < b.length {
+		d.buf = make([]byte, b.length)
+	}
+	buf := d.buf[:b.length]
 	var lastErr error
 	backoff := r.backoff
 	for a := 0; a <= r.retries; a++ {
@@ -446,7 +471,6 @@ func (r *IndexedReader) readBlockFresh(bi int) ([]Cell, error) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		buf := make([]byte, b.length)
 		if _, err := r.ra.ReadAt(buf, b.off); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				err = fmt.Errorf("%w: %s: block %d: %w", ErrTruncated, r.path, bi, err)
@@ -460,7 +484,7 @@ func (r *IndexedReader) readBlockFresh(bi int) ([]Cell, error) {
 			lastErr = fmt.Errorf("%w: %s: block %d checksum %08x, index says %08x", ErrCorrupt, r.path, bi, got, b.crc)
 			continue
 		}
-		cells, err := decodeColumnarBlock(buf, b.cells)
+		cells, err := d.decode(buf, b.cells)
 		if err != nil {
 			lastErr = fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, r.path, bi, err)
 			continue
@@ -479,23 +503,51 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
+// yieldCuboid passes the cells of one block that belong to cuboid point
+// to fn, in order; done reports that a later cuboid began.
+func yieldCuboid(cells []Cell, point uint32, fn func(Cell) error) (done bool, err error) {
+	for i := range cells {
+		c := &cells[i]
+		if c.Point < point {
+			continue
+		}
+		if c.Point > point {
+			return true, nil
+		}
+		if err := fn(*c); err != nil {
+			return true, err
+		}
+	}
+	return false, nil
+}
+
 // EachCuboid streams cuboid point's cells, in key order, to fn. Only the
 // blocks that can contain the cuboid are read: a binary search finds the
 // first candidate block and the scan stops at the first cell of a later
 // cuboid. Every decoded cell — including same-block neighbours that are
 // skipped — counts toward serve.scan.cells, so the counter reflects real
 // read amplification.
+//
+// The cell passed to fn, its Key included, is borrowed: it is valid only
+// until fn returns, and fn must not modify it. A caller that keeps a key
+// copies it. The same holds for ScanCuboid and Each.
 func (r *IndexedReader) EachCuboid(point uint32, fn func(Cell) error) error {
 	//x3:nolint(ctxflow) EachCuboid is the context-less compatibility entry point; it IS the entry layer
 	return r.EachCuboidCtx(context.Background(), point, fn)
 }
 
 // EachCuboidCtx is EachCuboid under a context: cancellation and deadlines
-// are honoured between blocks, surfacing as a wrapped ErrCancelled.
+// are honoured between blocks, surfacing as a wrapped ErrCancelled. A
+// cuboid larger than the whole cache budget is looked up in the cache but
+// not inserted into it (see keeps).
 func (r *IndexedReader) EachCuboidCtx(ctx context.Context, point uint32, fn func(Cell) error) error {
-	if _, ok := r.CuboidCells(point); !ok {
+	n, ok := r.CuboidCells(point)
+	if !ok {
 		return nil
 	}
+	keep := r.keeps(n)
+	d := decoders.Get().(*blockDecoder)
+	defer decoders.Put(d)
 	// First block that could contain the cuboid: the one before the first
 	// block starting at a later point (the cuboid's first cells can sit
 	// at the tail of a block whose firstPoint is smaller).
@@ -507,22 +559,13 @@ func (r *IndexedReader) EachCuboidCtx(ctx context.Context, point uint32, fn func
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		cells, err := r.readBlock(bi)
+		cells, err := r.readBlock(d, bi, keep)
 		if err != nil {
 			return err
 		}
 		r.scanCells.Add(int64(len(cells)))
-		for i := range cells {
-			c := &cells[i]
-			if c.Point < point {
-				continue
-			}
-			if c.Point > point {
-				return nil
-			}
-			if err := fn(*c); err != nil {
-				return err
-			}
+		if done, err := yieldCuboid(cells, point, fn); done || err != nil {
+			return err
 		}
 	}
 	return nil
@@ -533,11 +576,14 @@ func (r *IndexedReader) EachCuboidCtx(ctx context.Context, point uint32, fn func
 // path keeps failing. Every block is re-read fresh from the file (with the
 // retry budget) and re-verified against its checksum, so a transient
 // corruption that poisoned the fast path gets a genuinely independent
-// second chance; a persistent corruption still fails closed.
+// second chance; a persistent corruption still fails closed. Cells are
+// borrowed, as for EachCuboid.
 func (r *IndexedReader) ScanCuboid(ctx context.Context, point uint32, fn func(Cell) error) error {
 	if _, ok := r.CuboidCells(point); !ok {
 		return nil
 	}
+	d := decoders.Get().(*blockDecoder)
+	defer decoders.Put(d)
 	for bi := range r.blocks {
 		if err := ctxErr(ctx); err != nil {
 			return err
@@ -545,31 +591,27 @@ func (r *IndexedReader) ScanCuboid(ctx context.Context, point uint32, fn func(Ce
 		if r.blocks[bi].firstPoint > point {
 			return nil
 		}
-		cells, err := r.readBlockFresh(bi)
+		cells, err := r.readBlockFresh(d, bi)
 		if err != nil {
 			return err
 		}
 		r.scanCells.Add(int64(len(cells)))
-		for i := range cells {
-			c := &cells[i]
-			if c.Point < point {
-				continue
-			}
-			if c.Point > point {
-				return nil
-			}
-			if err := fn(*c); err != nil {
-				return err
-			}
+		if done, err := yieldCuboid(cells, point, fn); done || err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Each streams every cell of the file, in (point, key) order.
+// Each streams every cell of the file, in (point, key) order. Cells are
+// borrowed, as for EachCuboid; a file larger than the cache budget is not
+// inserted into it.
 func (r *IndexedReader) Each(fn func(Cell) error) error {
+	keep := r.keeps(r.cells)
+	d := decoders.Get().(*blockDecoder)
+	defer decoders.Put(d)
 	for bi := range r.blocks {
-		cells, err := r.readBlock(bi)
+		cells, err := r.readBlock(d, bi, keep)
 		if err != nil {
 			return err
 		}

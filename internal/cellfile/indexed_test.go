@@ -264,7 +264,7 @@ func TestWriteIndexedSortsArbitraryOrder(t *testing.T) {
 				t.Fatal("keys unsorted")
 			}
 		}
-		last = c
+		last = cloneCell(c)
 		n++
 		return nil
 	})

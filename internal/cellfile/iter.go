@@ -3,11 +3,13 @@ package cellfile
 // CellIterator is a pull-style walk over every cell of an indexed file,
 // in (point, key) order — the shape the compactor's k-way merge needs,
 // where the callback form of Each cannot yield control between cells.
-// Blocks are read fresh (checksummed, retry-budgeted, cache-bypassing):
-// a compaction pass over a whole generation must not evict the query
-// path's hot blocks.
+// Blocks are read fresh (checksummed, retry-budgeted, cache-bypassing)
+// into the iterator's own decoder: a compaction pass over a whole
+// generation must not evict the query path's hot blocks, and allocates
+// nothing per block once the decoder is warm.
 type CellIterator struct {
 	r     *IndexedReader
+	dec   blockDecoder
 	bi    int
 	cells []Cell
 	pos   int
@@ -26,7 +28,7 @@ func (it *CellIterator) Next() (*Cell, error) {
 		if it.bi >= len(it.r.blocks) {
 			return nil, nil
 		}
-		cells, err := it.r.readBlockFresh(it.bi)
+		cells, err := it.r.readBlockFresh(&it.dec, it.bi)
 		if err != nil {
 			return nil, err
 		}

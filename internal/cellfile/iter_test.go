@@ -17,9 +17,7 @@ func TestIteratorMatchesEach(t *testing.T) {
 
 	var want []Cell
 	if err := r.Each(func(c Cell) error {
-		c2 := c
-		c2.Key = append(c2.Key[:0:0], c.Key...)
-		want = append(want, c2)
+		want = append(want, cloneCell(c))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,79 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"path/filepath"
+	"testing"
+
+	"x3/internal/match"
+)
+
+// TestDirectAnswerAllocsConstantPerBlock: a direct answer allocates a
+// constant number of times plus its result rows, whatever the number of
+// blocks it reads. The same answers out of a file cut into 2-cell blocks
+// and out of one cut into 256-cell blocks allocate equally, with the
+// block cache off and with it warm.
+func TestDirectAnswerAllocsConstantPerBlock(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	lat, set, _ := treebankWorkload(t, 5, 400, cleanAxes(3))
+	finest := lat.Points()[0]
+	for _, p := range lat.Points() {
+		if len(lat.LiveAxes(p)) > len(lat.LiveAxes(finest)) {
+			finest = p
+		}
+	}
+	live := lat.LiveAxes(finest)
+	ctx := context.Background()
+	for _, cacheBytes := range []int64{-1, 0} {
+		type count struct{ one, all, rows float64 }
+		var counts []count
+		for _, blockCells := range []int{2, 256} {
+			path := filepath.Join(t.TempDir(), fmt.Sprintf("b%d.x3ci", blockCells))
+			s, err := Build(path, lat, set, Options{BlockCells: blockCells, CacheBytes: cacheBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			full, err := s.Answer(ctx, Query{Point: finest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Plan != PlanDirect || len(full.Rows) < 2 {
+				t.Fatalf("plan %s with %d rows; want a direct answer of several rows", full.Plan, len(full.Rows))
+			}
+			mid := full.Rows[len(full.Rows)/2].Key
+			where := make(map[int]match.ValueID, len(live))
+			for i, a := range live {
+				where[a] = mid[i]
+			}
+			answer := func(q Query, rows int) float64 {
+				return testing.AllocsPerRun(20, func() {
+					ans, err := s.Answer(ctx, q)
+					if err != nil || len(ans.Rows) != rows {
+						t.Fatalf("answer: %d rows, %v; want %d", len(ans.Rows), err, rows)
+					}
+				})
+			}
+			c := count{
+				one:  answer(Query{Point: finest, Where: where}, 1),
+				all:  answer(Query{Point: finest}, len(full.Rows)),
+				rows: float64(len(full.Rows)),
+			}
+			t.Logf("cache %d, %d cells per block (%d blocks): %.0f allocations for 1 row, %.0f for %.0f rows",
+				cacheBytes, blockCells, s.rdr.NumBlocks(), c.one, c.all, c.rows)
+			counts = append(counts, c)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("cache %d: allocations depend on the block count: %+v vs %+v", cacheBytes, counts[0], counts[1])
+		}
+		// Each extra row costs its key, plus the rows slice's doublings.
+		c := counts[0]
+		if extra := c.all - c.one; extra > c.rows+float64(bits.Len(uint(c.rows))) {
+			t.Errorf("cache %d: %.0f rows cost %.0f allocations over a 1-row answer", cacheBytes, c.rows, extra)
+		}
+	}
+}

@@ -53,10 +53,11 @@ type Options struct {
 	// materialized set adapts to the workload. Takes precedence over
 	// Views.
 	SpaceBudget int64
-	// CacheBytes sizes the LRU block cache by encoded block bytes:
-	// compressed blocks are charged their on-disk length, so compression
-	// directly buys residency. 0 selects the default of
-	// 64*cellfile.DefaultBlockBytes; negative disables caching.
+	// CacheBytes bounds the heap of the LRU block cache: each cached
+	// block is charged the memory its decoded cells and keys hold, and a
+	// cuboid read larger than the whole budget passes through without
+	// being cached. 0 selects the default of 64*cellfile.DefaultBlockBytes
+	// (1 MiB); negative disables caching.
 	CacheBytes int64
 	// BlockCells overrides the indexed file's block granularity
 	// (0 = cellfile.DefaultBlockCells).
