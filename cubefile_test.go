@@ -71,7 +71,7 @@ func TestCubeToIndexedFile(t *testing.T) {
 	}
 	var viaCuboids int64
 	for _, pid := range r.Points() {
-		if err := r.EachCuboid(pid, func(cellfile.Cell) error { viaCuboids++; return nil }); err != nil {
+		if err := r.EachCuboidCtx(t.Context(), pid, func(cellfile.Cell) error { viaCuboids++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

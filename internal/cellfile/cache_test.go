@@ -53,7 +53,7 @@ func freshCuboids(t *testing.T, path string) map[uint32][]Cell {
 	defer r.Close()
 	out := make(map[uint32][]Cell)
 	for _, p := range r.Points() {
-		if err := r.EachCuboid(p, func(c Cell) error {
+		if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error {
 			out[p] = append(out[p], cloneCell(c))
 			return nil
 		}); err != nil {
@@ -157,7 +157,7 @@ func TestCacheHeapWithinBudget(t *testing.T) {
 	var maxBlock int64
 	for round := 0; round < 2; round++ {
 		for _, p := range r.Points() {
-			if err := r.EachCuboid(p, func(Cell) error { return nil }); err != nil {
+			if err := r.EachCuboidCtx(t.Context(), p, func(Cell) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			var resident int64
@@ -197,7 +197,7 @@ func TestLargeCuboidBypassesCache(t *testing.T) {
 	read := func(p uint32) {
 		t.Helper()
 		var got []Cell
-		if err := r.EachCuboid(p, func(c Cell) error { got = append(got, cloneCell(c)); return nil }); err != nil {
+		if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error { got = append(got, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if !sameCells(got, want[p]) {
@@ -258,8 +258,8 @@ func TestBlockReadsAllocateNothingPerBlock(t *testing.T) {
 		name string
 		read func(p uint32) error
 	}{
-		{"EachCuboid", func(p uint32) error { return r.EachCuboid(p, none) }},
-		{"ScanCuboid", func(p uint32) error { return r.ScanCuboid(ctx, p, none) }},
+		{"EachCuboidCtx", func(p uint32) error { return r.EachCuboidCtx(t.Context(), p, none) }},
+		{"Verified", func(p uint32) error { return drain(ctx, r.Cuboid(p, Verified), none) }},
 	}
 	modes := []struct {
 		name  string
@@ -279,12 +279,9 @@ func TestBlockReadsAllocateNothingPerBlock(t *testing.T) {
 					}
 				})
 			}
-			// ScanCuboid reads from the file's start, so its long read is
-			// of the last cuboid; EachCuboid's is cuboid 1's 100 blocks.
+			// Both read modes seek to the cuboid: the long read is cuboid
+			// 1's 100 blocks.
 			short, long := allocs(0), allocs(1)
-			if rd.name == "ScanCuboid" {
-				long = allocs(2)
-			}
 			t.Logf("%s/%s: %.0f allocations for 1 block, %.0f for 100+", m.name, rd.name, short, long)
 			if short != long {
 				t.Errorf("%s/%s: %.0f allocations for a 1-block cuboid, %.0f for a 100-block one; want equal", m.name, rd.name, short, long)
@@ -321,7 +318,7 @@ func TestSharedCacheConcurrentReads(t *testing.T) {
 				r := readers[rng.Intn(len(readers))]
 				p := uint32(rng.Intn(len(sizes)))
 				var got []Cell
-				if err := r.EachCuboid(p, func(c Cell) error { got = append(got, cloneCell(c)); return nil }); err != nil {
+				if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error { got = append(got, cloneCell(c)); return nil }); err != nil {
 					t.Error(err)
 					return
 				}

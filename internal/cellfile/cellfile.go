@@ -345,15 +345,19 @@ func (s *IndexedSink) Close() error {
 			r.Close()
 		}
 	}()
+	srcs := make([]Stream, 0, len(s.runs))
 	for _, run := range s.runs {
 		r, err := OpenIndexed(run)
 		if err != nil {
 			return err
 		}
 		rs = append(rs, r)
+		srcs = append(srcs, r.All(Verified))
 	}
+	// A plain merge, not MergeAgg: a cube algorithm that emits a cell
+	// twice must leave both in the file, where a check can see them.
 	_, err := WriteFile(s.path, s.BlockCells, s.Fault, func(w *Writer) error {
-		return Merge(nil, rs, func(c Cell) error { return w.Cell(c.Point, c.Key, c.State) })
+		return Merge(nil, srcs, func(c *Cell) error { return w.Cell(c.Point, c.Key, c.State) })
 	})
 	return err
 }

@@ -185,16 +185,17 @@ func TestEachCuboidCtxCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled EachCuboidCtx returned %v; want it to also wrap context.Canceled", err)
 	}
-	// ScanCuboid honours the same contract.
-	err = r.ScanCuboid(ctx, 0, func(Cell) error { return nil })
+	// A verified read honours the same contract.
+	err = drain(ctx, r.Cuboid(0, Verified), func(Cell) error { return nil })
 	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("cancelled ScanCuboid returned %v; want wrapped ErrCancelled", err)
+		t.Fatalf("cancelled verified read returned %v; want wrapped ErrCancelled", err)
 	}
 }
 
-// TestScanCuboidMatchesIndexedPath asserts the degraded sequential scan
-// returns exactly the cells the fast path returns, for every cuboid. The
-// yielded cells are borrowed, so the kept ones clone their keys.
+// TestScanCuboidMatchesIndexedPath asserts the degraded re-read (a
+// Verified cursor) returns exactly the cells the fast path returns, for
+// every cuboid. The yielded cells are borrowed, so the kept ones clone
+// their keys.
 func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
@@ -205,10 +206,10 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range r.Points() {
 		var fast, slow []Cell
-		if err := r.EachCuboid(p, func(c Cell) error { fast = append(fast, cloneCell(c)); return nil }); err != nil {
+		if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error { fast = append(fast, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ScanCuboid(ctx, p, func(c Cell) error { slow = append(slow, cloneCell(c)); return nil }); err != nil {
+		if err := drain(ctx, r.Cuboid(p, Verified), func(c Cell) error { slow = append(slow, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if len(fast) != len(slow) {
@@ -226,7 +227,7 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 		}
 	}
 	// Unmaterialized cuboids stream nothing from the scan path too.
-	if err := r.ScanCuboid(ctx, 99999, func(Cell) error {
+	if err := drain(ctx, r.Cuboid(99999, Verified), func(Cell) error {
 		t.Fatal("phantom cell from scan")
 		return nil
 	}); err != nil {
@@ -235,7 +236,8 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 }
 
 // TestScanCuboidBypassesCache poisons the block cache with wrong cells and
-// asserts ScanCuboid ignores it (fresh reads are the point of the rung).
+// asserts a Verified cursor ignores it (fresh reads are the point of the
+// rung).
 func TestScanCuboidBypassesCache(t *testing.T) {
 	path, _ := writeSmallIndexed(t, nil)
 	r, err := OpenIndexed(path)
@@ -250,17 +252,17 @@ func TestScanCuboidBypassesCache(t *testing.T) {
 		cache.put(r.gen, bi, nil, 1)
 	}
 	var viaCache, viaScan int
-	if err := r.EachCuboid(0, func(Cell) error { viaCache++; return nil }); err != nil {
+	if err := r.EachCuboidCtx(t.Context(), 0, func(Cell) error { viaCache++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ScanCuboid(context.Background(), 0, func(Cell) error { viaScan++; return nil }); err != nil {
+	if err := drain(context.Background(), r.Cuboid(0, Verified), func(Cell) error { viaScan++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if viaCache != 0 {
 		t.Fatalf("poisoned cache path streamed %d cells; expected the poison to stick (%d)", viaCache, 0)
 	}
 	if viaScan == 0 {
-		t.Fatal("ScanCuboid returned nothing; it must bypass the poisoned cache")
+		t.Fatal("the verified read returned nothing; it must bypass the poisoned cache")
 	}
 }
 

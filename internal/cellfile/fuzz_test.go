@@ -123,9 +123,9 @@ func FuzzCellfile(f *testing.F) {
 			return nil
 		})
 		for _, p := range r.Points() {
-			_ = r.EachCuboid(p, func(Cell) error { return nil })
+			_ = r.EachCuboidCtx(t.Context(), p, func(Cell) error { return nil })
 		}
-		_ = r.EachCuboid(1<<31, func(Cell) error { return nil })
+		_ = r.EachCuboidCtx(t.Context(), 1<<31, func(Cell) error { return nil })
 	})
 }
 

@@ -163,38 +163,38 @@ func OpenIndexedWith(path string, opt ReadOptions) (*IndexedReader, error) {
 		return nil, fmt.Errorf("cellfile: %w", err)
 	}
 	var r *IndexedReader
-	backoff := opt.backoff()
-	for a := 0; ; a++ {
+	err = retry(opt.retries(), opt.backoff(), nil, func() (err error) {
 		r, err = loadIndex(f, path, opt)
-		if err == nil {
-			return r, nil
-		}
-		if a >= opt.retries() {
-			break
-		}
+		return err
+	})
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// retry runs op, and re-runs it up to retries more times while it fails,
+// sleeping a doubling backoff before each re-run and counting it into c.
+// It returns op's last error.
+func retry(retries int, backoff time.Duration, c *obs.Counter, op func() error) error {
+	err := op()
+	for a := 0; err != nil && a < retries; a++ {
+		c.Inc()
 		time.Sleep(backoff)
 		backoff *= 2
+		err = op()
 	}
-	f.Close()
-	return nil, err
+	return err
 }
 
 // readFull reads len(p) bytes at off with the reader's retry budget:
 // transient faults re-roll on a fresh attempt after a doubling backoff.
 func (r *IndexedReader) readFull(p []byte, off int64) error {
-	var err error
-	backoff := r.backoff
-	for a := 0; a <= r.retries; a++ {
-		if a > 0 {
-			r.retriesC.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		_, err = r.ra.ReadAt(p, off)
-		if err == nil {
-			return nil
-		}
-	}
+	err := retry(r.retries, r.backoff, r.retriesC, func() error {
+		_, err := r.ra.ReadAt(p, off)
+		return err
+	})
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("%w: %s: %w", ErrTruncated, r.path, err)
 	}
@@ -413,8 +413,8 @@ func (r *IndexedReader) Path() string { return r.path }
 // Close releases the file handle.
 func (r *IndexedReader) Close() error { return r.f.Close() }
 
-// decoders recycles block decoders across reads: each EachCuboidCtx,
-// ScanCuboid or Each call takes one and returns it when it is done.
+// decoders recycles block decoders across reads: each Cursor takes one
+// and returns it when it is closed.
 var decoders = sync.Pool{New: func() any { return new(blockDecoder) }}
 
 // keeps reports whether a read of cells cells should insert its blocks
@@ -427,18 +427,20 @@ func (r *IndexedReader) keeps(cells int64) bool {
 	return r.cache != nil && cells*cellBytes <= r.cache.Budget()
 }
 
-// readBlock returns block bi's decoded cells. With a cache attached it is
-// consulted first; on a miss the block is read fresh and, when keep is
-// set, decoded into memory of its own and cached, otherwise decoded into
-// d's scratch. Scratch cells are borrowed until d's next decode.
-func (r *IndexedReader) readBlock(d *blockDecoder, bi int, keep bool) ([]Cell, error) {
-	if r.cache != nil {
-		if cells, ok := r.cache.get(r.gen, bi); ok {
-			r.cacheHits.Inc()
-			return cells, nil
-		}
-		r.cacheMisses.Inc()
+// readBlock returns block bi's decoded cells. An Indexed read consults
+// the cache, if one is attached, first; on a miss the block is read fresh
+// and, when keep is set, decoded into memory of its own and cached,
+// otherwise decoded into d's scratch, as a Verified read always is.
+// Scratch cells are borrowed until d's next decode.
+func (r *IndexedReader) readBlock(d *blockDecoder, bi int, mode ReadMode, keep bool) ([]Cell, error) {
+	if mode == Verified || r.cache == nil {
+		return r.readBlockFresh(d, bi)
 	}
+	if cells, ok := r.cache.get(r.gen, bi); ok {
+		r.cacheHits.Inc()
+		return cells, nil
+	}
+	r.cacheMisses.Inc()
 	if !keep {
 		return r.readBlockFresh(d, bi)
 	}
@@ -463,164 +465,65 @@ func (r *IndexedReader) readBlockFresh(d *blockDecoder, bi int) ([]Cell, error) 
 		d.buf = make([]byte, b.length)
 	}
 	buf := d.buf[:b.length]
-	var lastErr error
-	backoff := r.backoff
-	for a := 0; a <= r.retries; a++ {
-		if a > 0 {
-			r.retriesC.Inc()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
+	var cells []Cell
+	err := retry(r.retries, r.backoff, r.retriesC, func() error {
 		if _, err := r.ra.ReadAt(buf, b.off); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				err = fmt.Errorf("%w: %s: block %d: %w", ErrTruncated, r.path, bi, err)
-			} else {
-				err = fmt.Errorf("cellfile: %s: block %d: %w", r.path, bi, err)
+				return fmt.Errorf("%w: %s: block %d: %w", ErrTruncated, r.path, bi, err)
 			}
-			lastErr = err
-			continue
+			return fmt.Errorf("cellfile: %s: block %d: %w", r.path, bi, err)
 		}
 		if got := crc32.Checksum(buf, castagnoli); got != b.crc {
-			lastErr = fmt.Errorf("%w: %s: block %d checksum %08x, index says %08x", ErrCorrupt, r.path, bi, got, b.crc)
-			continue
+			return fmt.Errorf("%w: %s: block %d checksum %08x, index says %08x", ErrCorrupt, r.path, bi, got, b.crc)
 		}
-		cells, err := d.decode(buf, b.cells)
-		if err != nil {
-			lastErr = fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, r.path, bi, err)
-			continue
+		var err error
+		if cells, err = d.decode(buf, b.cells); err != nil {
+			return fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, r.path, bi, err)
 		}
-		return cells, nil
-	}
-	return nil, lastErr
+		return nil
+	})
+	return cells, err
 }
 
 // ctxErr wraps a context failure in the package's cancellation sentinel
 // (both errors.Is(err, ErrCancelled) and errors.Is(err, ctx.Err()) hold).
+// A nil ctx never cancels.
 func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 	return nil
 }
 
-// yieldCuboid passes the cells of one block that belong to cuboid point
-// to fn, in order; done reports that a later cuboid began.
-func yieldCuboid(cells []Cell, point uint32, fn func(Cell) error) (done bool, err error) {
-	for i := range cells {
-		c := &cells[i]
-		if c.Point < point {
-			continue
-		}
-		if c.Point > point {
-			return true, nil
-		}
-		if err := fn(*c); err != nil {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
-// EachCuboid streams cuboid point's cells, in key order, to fn. Only the
-// blocks that can contain the cuboid are read: a binary search finds the
-// first candidate block and the scan stops at the first cell of a later
-// cuboid. Every decoded cell — including same-block neighbours that are
-// skipped — counts toward serve.scan.cells, so the counter reflects real
-// read amplification.
-//
-// The cell passed to fn, its Key included, is borrowed: it is valid only
-// until fn returns, and fn must not modify it. A caller that keeps a key
-// copies it. The same holds for ScanCuboid and Each.
-func (r *IndexedReader) EachCuboid(point uint32, fn func(Cell) error) error {
-	//x3:nolint(ctxflow) EachCuboid is the context-less compatibility entry point; it IS the entry layer
-	return r.EachCuboidCtx(context.Background(), point, fn)
-}
-
-// EachCuboidCtx is EachCuboid under a context: cancellation and deadlines
-// are honoured between blocks, surfacing as a wrapped ErrCancelled. A
-// cuboid larger than the whole cache budget is looked up in the cache but
-// not inserted into it (see keeps).
+// EachCuboidCtx streams cuboid point's cells, in key order, to fn through
+// an Indexed cursor (see Cuboid): only the blocks that can contain the
+// cuboid are read, cancellation is honoured between blocks, and a cuboid
+// larger than the whole cache budget is looked up in the cache but not
+// inserted into it. The cell passed to fn is borrowed until fn returns.
 func (r *IndexedReader) EachCuboidCtx(ctx context.Context, point uint32, fn func(Cell) error) error {
-	n, ok := r.CuboidCells(point)
-	if !ok {
-		return nil
-	}
-	keep := r.keeps(n)
-	d := decoders.Get().(*blockDecoder)
-	defer decoders.Put(d)
-	// First block that could contain the cuboid: the one before the first
-	// block starting at a later point (the cuboid's first cells can sit
-	// at the tail of a block whose firstPoint is smaller).
-	bi := sort.Search(len(r.blocks), func(i int) bool { return r.blocks[i].firstPoint >= point })
-	if bi > 0 {
-		bi--
-	}
-	for ; bi < len(r.blocks) && r.blocks[bi].firstPoint <= point; bi++ {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		cells, err := r.readBlock(d, bi, keep)
-		if err != nil {
-			return err
-		}
-		r.scanCells.Add(int64(len(cells)))
-		if done, err := yieldCuboid(cells, point, fn); done || err != nil {
-			return err
-		}
-	}
-	return nil
+	return drain(ctx, r.Cuboid(point, Indexed), fn)
 }
 
-// ScanCuboid streams cuboid point's cells by a sequential, cache-bypassing
-// walk of the data section — the degraded fallback when the fast indexed
-// path keeps failing. Every block is re-read fresh from the file (with the
-// retry budget) and re-verified against its checksum, so a transient
-// corruption that poisoned the fast path gets a genuinely independent
-// second chance; a persistent corruption still fails closed. Cells are
-// borrowed, as for EachCuboid.
-func (r *IndexedReader) ScanCuboid(ctx context.Context, point uint32, fn func(Cell) error) error {
-	if _, ok := r.CuboidCells(point); !ok {
-		return nil
-	}
-	d := decoders.Get().(*blockDecoder)
-	defer decoders.Put(d)
-	for bi := range r.blocks {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		if r.blocks[bi].firstPoint > point {
-			return nil
-		}
-		cells, err := r.readBlockFresh(d, bi)
-		if err != nil {
-			return err
-		}
-		r.scanCells.Add(int64(len(cells)))
-		if done, err := yieldCuboid(cells, point, fn); done || err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Each streams every cell of the file, in (point, key) order. Cells are
-// borrowed, as for EachCuboid; a file larger than the cache budget is not
-// inserted into it.
+// Each streams every cell of the file, in (point, key) order, through an
+// Indexed cursor: a file larger than the cache budget is not inserted
+// into it. Cells are borrowed until fn returns.
 func (r *IndexedReader) Each(fn func(Cell) error) error {
-	keep := r.keeps(r.cells)
-	d := decoders.Get().(*blockDecoder)
-	defer decoders.Put(d)
-	for bi := range r.blocks {
-		cells, err := r.readBlock(d, bi, keep)
-		if err != nil {
+	return drain(nil, r.All(Indexed), fn)
+}
+
+// drain passes every cell of c to fn and closes c.
+func drain(ctx context.Context, c *Cursor, fn func(Cell) error) error {
+	defer c.Close()
+	for {
+		cell, err := c.Next(ctx)
+		if cell == nil || err != nil {
 			return err
 		}
-		r.scanCells.Add(int64(len(cells)))
-		for i := range cells {
-			if err := fn(cells[i]); err != nil {
-				return err
-			}
+		if err := fn(*cell); err != nil {
+			return err
 		}
 	}
-	return nil
 }

@@ -106,7 +106,7 @@ func TestEachCuboidBoundedAndComplete(t *testing.T) {
 		}
 		before := reg.Counter("serve.scan.cells").Value()
 		var got int64
-		err := r.EachCuboid(pid, func(c Cell) error {
+		err := r.EachCuboidCtx(t.Context(), pid, func(c Cell) error {
 			if c.Point != pid {
 				t.Fatalf("cuboid %d stream leaked cell of %d", pid, c.Point)
 			}
@@ -129,7 +129,7 @@ func TestEachCuboidBoundedAndComplete(t *testing.T) {
 	}
 	// An unmaterialized point streams nothing and reads nothing.
 	before := reg.Counter("serve.scan.cells").Value()
-	if err := r.EachCuboid(99999, func(Cell) error { t.Fatal("phantom cell"); return nil }); err != nil {
+	if err := r.EachCuboidCtx(t.Context(), 99999, func(Cell) error { t.Fatal("phantom cell"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("serve.scan.cells").Value() != before {
@@ -161,7 +161,7 @@ func TestIndexedReaderCacheSharing(t *testing.T) {
 	// The sequential pass left the tail blocks resident; re-reading the
 	// last cuboid hits them (a full re-scan would thrash the tiny LRU).
 	pts := r.Points()
-	if err := r.EachCuboid(pts[len(pts)-1], func(Cell) error { return nil }); err != nil {
+	if err := r.EachCuboidCtx(t.Context(), pts[len(pts)-1], func(Cell) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("serve.cache.hits").Value() == 0 {

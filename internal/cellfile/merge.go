@@ -1,68 +1,92 @@
 package cellfile
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
+	"fmt"
+	"slices"
 
-	"x3/internal/agg"
 	"x3/internal/extsort"
-	"x3/internal/match"
 )
 
-// cellRows adapts a file's cell stream to extsort's merge rows: [4-byte
-// big-endian point | key values, 4 bytes big-endian each | encoded
-// state]. The point and key prefix compares byte-wise in file order; the
-// state trails.
-type cellRows struct {
-	it  *CellIterator
-	row []byte
+// Stream is one sorted input of Merge: Next returns the next cell in
+// file order, or nil once the stream is exhausted. The cell, key
+// included, is borrowed until the following Next. A *Cursor is a
+// Stream; so is any in-memory source that yields sorted cells.
+type Stream interface {
+	Next(ctx context.Context) (*Cell, error)
 }
 
-func (c *cellRows) Cur() []byte { return c.row }
+// mergeCheckEvery is how many emitted cells pass between context checks
+// of a merge: cancellation latency stays bounded without taxing the
+// per-cell path. (Cursors check again before every block.)
+const mergeCheckEvery = 4096
 
-func (c *cellRows) Next() error {
-	cell, err := c.it.Next()
-	if err != nil || cell == nil {
-		c.row = nil
-		return err
+// compareCellPtrs orders two cells in file order.
+func compareCellPtrs(a, b *Cell) int { return compareCells(a.Point, a.Key, b.Point, b.Key) }
+
+// Merge streams the union of srcs, each in file order, to emit in file
+// order: extsort's loser-tree tournament over cells. Equal cells arrive
+// in source order, and none is combined — a file written from a merge of
+// runs holds exactly the cells its inputs held. The cell passed to emit
+// is borrowed during the call. ctx (nil never cancels) is checked every
+// few thousand cells and passed to every Next. An error from emit or a
+// source aborts the merge and is returned.
+func Merge(ctx context.Context, srcs []Stream, emit func(*Cell) error) error {
+	lt := extsort.NewLoserTree(len(srcs), compareCellPtrs)
+	for i, s := range srcs {
+		c, err := s.Next(ctx)
+		if err != nil {
+			return fmt.Errorf("cellfile: merge source %d: %w", i, err)
+		}
+		lt.Push(c, c != nil)
 	}
-	row := binary.BigEndian.AppendUint32(c.row[:0], cell.Point)
-	for _, v := range cell.Key {
-		row = binary.BigEndian.AppendUint32(row, uint32(v))
-	}
-	var enc [agg.EncodedSize]byte
-	cell.State.Encode(enc[:])
-	c.row = append(row, enc[:]...)
-	return nil
-}
-
-// rowPrefix returns the merge-ordering prefix (point and key) of a row.
-func rowPrefix(row []byte) []byte { return row[:len(row)-agg.EncodedSize] }
-
-// Merge streams the cells of readers, each in file order, to emit in file
-// order: extsort's loser-tree k-way merge. Equal cells from several
-// readers arrive in reader order. The cell passed to emit, key included,
-// is valid only during the call. Blocks are read fresh, bypassing the
-// cache (see Iterate). ctx is consulted every few thousand cells; nil
-// never cancels.
-func Merge(ctx context.Context, readers []*IndexedReader, emit func(Cell) error) error {
-	srcs := make([]extsort.MergeSource, len(readers))
-	for i, r := range readers {
-		c := &cellRows{it: r.Iterate()}
-		if err := c.Next(); err != nil {
+	for n := 0; ; n++ {
+		w, c, ok := lt.Winner()
+		if !ok {
+			return nil
+		}
+		if n%mergeCheckEvery == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+		}
+		if err := emit(c); err != nil {
 			return err
 		}
-		srcs[i] = c
-	}
-	var key []match.ValueID
-	cmp := func(a, b []byte) int { return bytes.Compare(rowPrefix(a), rowPrefix(b)) }
-	return extsort.Merge(ctx, srcs, cmp, func(_ int, row []byte) error {
-		prefix := rowPrefix(row)
-		key = key[:0]
-		for i := 4; i < len(prefix); i += 4 {
-			key = append(key, match.ValueID(binary.BigEndian.Uint32(prefix[i:])))
+		next, err := srcs[w].Next(ctx)
+		if err != nil {
+			return fmt.Errorf("cellfile: merge source %d: %w", w, err)
 		}
-		return emit(Cell{Point: binary.BigEndian.Uint32(prefix), Key: key, State: agg.Decode(row[len(prefix):])})
+		lt.Advance(next, next != nil)
+	}
+}
+
+// MergeAgg is Merge with equal cells combined: emit sees every distinct
+// (point, key) once, its state the merge of every equal cell's state in
+// source order — the first source's state merged with the second's, and
+// so on. That order is fixed, so float sums come out bit-identical run
+// after run. Distributive aggregate states over disjoint fact sets
+// combine exactly this way (§3.2), which is why the delta ladder's
+// generations answer, and compact, through it. The cell passed to emit is
+// borrowed during the call.
+func MergeAgg(ctx context.Context, srcs []Stream, emit func(*Cell) error) error {
+	var pend Cell
+	have := false
+	err := Merge(ctx, srcs, func(c *Cell) error {
+		if have && c.Point == pend.Point && slices.Equal(c.Key, pend.Key) {
+			pend.State.Merge(c.State)
+			return nil
+		}
+		if have {
+			if err := emit(&pend); err != nil {
+				return err
+			}
+		}
+		pend.Point, pend.Key, pend.State, have = c.Point, append(pend.Key[:0], c.Key...), c.State, true
+		return nil
 	})
+	if err != nil || !have {
+		return err
+	}
+	return emit(&pend)
 }

@@ -13,10 +13,10 @@ import (
 
 // sinkBatcher fans one downstream Sink out to per-worker batchSinks.
 // Workers buffer cells locally (keys copied into a flat arena) and flush
-// whole batches under a single lock acquisition, replacing the per-cell
-// mutex traffic of LockedSink. The downstream sink still sees a strictly
-// serialized call sequence — it need not be safe for concurrent use — but
-// the lock is paid once per batch instead of once per cell.
+// whole batches under a single lock acquisition. The downstream sink sees
+// a strictly serialized call sequence — it need not be safe for
+// concurrent use — and the lock is paid once per batch, not once per
+// cell.
 type sinkBatcher struct {
 	// mu serializes flushes into next, which is blocking sink I/O by
 	// design — hence a gate.Gate, not a sync.Mutex (lockhold forbids

@@ -33,14 +33,40 @@ type Delta struct {
 // base generation's materialized point set); nil keep accumulates every
 // cuboid of the lattice.
 func NewDelta(lat *lattice.Lattice, keep []uint32) *Delta {
-	d := &Delta{lat: lat, tables: make(map[uint32]*cellTable)}
-	if keep != nil {
-		d.keep = make(map[uint32]bool, len(keep))
-		for _, p := range keep {
-			d.keep[p] = true
+	return &Delta{lat: lat, keep: keepSet(keep), tables: make(map[uint32]*cellTable)}
+}
+
+// keepSet is a keep list's set form; nil stays nil (every cuboid).
+func keepSet(keep []uint32) map[uint32]bool {
+	if keep == nil {
+		return nil
+	}
+	set := make(map[uint32]bool, len(keep))
+	for _, p := range keep {
+		set[p] = true
+	}
+	return set
+}
+
+// keeps reports whether the delta accumulates cuboid pid.
+func (d *Delta) keeps(pid uint32) bool { return d.keep == nil || d.keep[pid] }
+
+// Restrict narrows the keep set to keep and drops the cells of every
+// cuboid outside it. When the serving layer's budgeted compaction drops
+// a cuboid from the store, it drops it from the memtable too: no later
+// flush writes it, and the memtable holds what a recovery that replays
+// the log under the new keep set would rebuild.
+func (d *Delta) Restrict(keep []uint32) {
+	d.keep = keepSet(keep)
+	pids := d.pids[:0]
+	for _, pid := range d.pids {
+		if d.keeps(pid) {
+			pids = append(pids, pid)
+		} else {
+			delete(d.tables, pid)
 		}
 	}
-	return d
+	d.pids = pids
 }
 
 // Facts returns the number of facts absorbed since the last Reset.
@@ -81,7 +107,7 @@ func (d *Delta) Absorb(src Source) (added int64, err error) {
 		rec = func(a int) {
 			if a == dim {
 				pid := lat.ID(point)
-				if d.keep != nil && !d.keep[pid] {
+				if !d.keeps(pid) {
 					return
 				}
 				t := d.tables[pid]
@@ -125,17 +151,49 @@ func (d *Delta) Absorb(src Source) (added int64, err error) {
 	return added, err
 }
 
-// EachCuboid streams cuboid pid's cells in insertion order (deterministic
-// for a deterministic absorb sequence). The key slice is an arena view —
-// valid only during the call.
-func (d *Delta) EachCuboid(pid uint32, fn func(key []match.ValueID, s agg.State) error) error {
+// DeltaCuboid is one cuboid of a Delta in key order: an index sorted over
+// the cuboid's cell table, valid until the Delta next changes.
+type DeltaCuboid struct {
+	t     *cellTable
+	order []int
+}
+
+// Cuboid returns cuboid pid's cells in key order. It sorts an index of
+// the cuboid's cells, not the cells, and is the one sort of a Delta:
+// EachCuboid, Each and the serving layer's merged reads all walk it.
+func (d *Delta) Cuboid(pid uint32) DeltaCuboid {
 	t := d.tables[pid]
 	if t == nil {
-		return nil
+		return DeltaCuboid{}
 	}
-	return t.each(func(key []match.ValueID, s *agg.State) error {
-		return fn(key, *s)
-	})
+	order := make([]int, t.len())
+	for e := range order {
+		order[e] = e
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(t.keyAt(a), t.keyAt(b)) })
+	return DeltaCuboid{t: t, order: order}
+}
+
+// Len returns the number of cells.
+func (c DeltaCuboid) Len() int { return len(c.order) }
+
+// At returns the i-th cell in key order. The key slice is an arena view,
+// valid until the Delta next changes.
+func (c DeltaCuboid) At(i int) ([]match.ValueID, agg.State) {
+	e := c.order[i]
+	return c.t.keyAt(e), c.t.states[e]
+}
+
+// EachCuboid streams cuboid pid's cells in key order. The key slice is an
+// arena view — valid only during the call.
+func (d *Delta) EachCuboid(pid uint32, fn func(key []match.ValueID, s agg.State) error) error {
+	c := d.Cuboid(pid)
+	for i := range c.Len() {
+		if err := fn(c.At(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CuboidCells returns the number of cells held for cuboid pid.
@@ -151,18 +209,9 @@ func (d *Delta) CuboidCells(pid uint32) int64 {
 // cuboid's cells by key — so a flush streams it straight into a cell-file
 // writer. The key slice is an arena view, valid only during the call.
 func (d *Delta) Each(fn func(point uint32, key []match.ValueID, s agg.State) error) error {
-	var order []int
 	for _, pid := range d.pids {
-		t := d.tables[pid]
-		order = order[:0]
-		for e := range t.states {
-			order = append(order, e)
-		}
-		slices.SortFunc(order, func(a, b int) int { return slices.Compare(t.keyAt(a), t.keyAt(b)) })
-		for _, e := range order {
-			if err := fn(pid, t.keyAt(e), t.states[e]); err != nil {
-				return err
-			}
+		if err := d.EachCuboid(pid, func(key []match.ValueID, s agg.State) error { return fn(pid, key, s) }); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,31 +2,10 @@ package cube
 
 import (
 	"fmt"
-	"sync"
 
 	"x3/internal/agg"
 	"x3/internal/match"
 )
-
-// LockedSink serializes a Sink for concurrent emitters by taking a mutex
-// around every cell. It is the compatibility fallback for external callers
-// that hand a non-thread-safe Sink to hand-rolled goroutines; the parallel
-// algorithms in this package no longer use it — they emit through
-// worker-local batchSinks (see sinkBatcher), which deliver the same
-// serialized call sequence downstream at one lock acquisition per batch
-// instead of per cell.
-type LockedSink struct {
-	mu   sync.Mutex
-	Next Sink
-}
-
-// Cell implements Sink.
-func (l *LockedSink) Cell(point uint32, key []match.ValueID, s agg.State) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	//x3:nolint(lockhold) serializing the non-thread-safe Next sink is this type's documented contract, and the zero value must stay usable, so it keeps a Mutex rather than a gate.Gate
-	return l.Next.Cell(point, key, s)
-}
 
 // BUCParallel is plain (overlap-tolerant, always-correct) BUC with the
 // top level of the recursive partitioning fanned out across the shared

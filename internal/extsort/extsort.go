@@ -292,7 +292,7 @@ func (s *Sorter) Finish(ctx context.Context) (*Iterator, Stats, error) {
 	if len(srcs) == 0 {
 		return &Iterator{width: s.width}, s.stats, nil
 	}
-	return &Iterator{width: s.width, lt: newLoserTree(srcs)}, s.stats, nil
+	return &Iterator{width: s.width, srcs: srcs, lt: rowTree(srcs)}, s.stats, nil
 }
 
 // finishMem completes a sort that never spilled. The serial path returns
@@ -326,7 +326,7 @@ func (s *Sorter) finishMem() (*Iterator, Stats, error) {
 		}
 		wg.Wait()
 		s.observeFinish()
-		return &Iterator{width: s.width, lt: newLoserTree(srcs)}, s.stats, nil
+		return &Iterator{width: s.width, srcs: srcs, lt: rowTree(srcs)}, s.stats, nil
 	}
 	sortRows(s.buf, s.width)
 	s.observeFinish()
@@ -349,7 +349,8 @@ type Iterator struct {
 	mem []byte
 	pos int
 	// Merge case (spilled runs or parallel-sorted chunks).
-	lt     *loserTree
+	srcs   []mergeSource
+	lt     *LoserTree[[]byte]
 	rowBuf []byte
 }
 
@@ -363,33 +364,28 @@ func (it *Iterator) Next() ([]byte, error) {
 		}
 		return nil, nil
 	}
-	w := it.lt.winner()
-	if w < 0 {
-		return nil, nil
-	}
-	src := it.lt.srcs[w]
-	row := src.cur()
-	if row == nil {
+	w, row, ok := it.lt.Winner()
+	if !ok {
 		return nil, nil
 	}
 	it.rowBuf = append(it.rowBuf[:0], row...)
+	src := it.srcs[w]
 	if err := src.next(); err != nil {
 		return nil, err
 	}
-	it.lt.replay()
+	row = src.cur()
+	it.lt.Advance(row, row != nil)
 	return it.rowBuf, nil
 }
 
 // Close releases any temp files still open.
 func (it *Iterator) Close() {
-	if it.lt != nil {
-		for _, src := range it.lt.srcs {
-			if rr, ok := src.(*runReader); ok {
-				rr.closeFile()
-			}
+	for _, src := range it.srcs {
+		if rr, ok := src.(*runReader); ok {
+			rr.closeFile()
 		}
-		it.lt = nil
 	}
+	it.srcs, it.lt = nil, nil
 	it.mem = nil
 }
 

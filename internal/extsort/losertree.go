@@ -2,8 +2,8 @@ package extsort
 
 import "bytes"
 
-// mergeSource is one sorted input of a k-way merge: a spilled run on disk
-// (runReader) or a sorted in-memory chunk (memRun).
+// mergeSource is one sorted input of the sorter's k-way merge: a spilled
+// run on disk (runReader) or a sorted in-memory chunk (memRun).
 type mergeSource interface {
 	// cur returns the current row, or nil when the source is exhausted.
 	// The slice is only valid until the following next call.
@@ -13,70 +13,53 @@ type mergeSource interface {
 	next() error
 }
 
-// loserTree is a tournament tree over k sorted sources: internal node n
-// holds the index of the source that lost the match at n, and nodes[0]
-// holds the overall winner. Selecting the next row then costs one root-to-
-// leaf replay of ⌈log2 k⌉ comparisons against the recorded losers —
-// roughly half the comparisons of a binary heap, which re-compares two
-// children per level on the way down. Exhausted sources compare as +∞ and
-// sink to the bottom of the bracket; ties break toward the lower source
-// index, which makes the merge stable (and, since equal rows are
-// byte-identical here, makes the output bytes independent of run order).
-type loserTree struct {
-	nodes []int // nodes[0] = winner; nodes[1:] = losers, -1 = unplayed
-	srcs  []mergeSource
-	cmp   func(a, b []byte) int
+// LoserTree is a tournament tree over k sorted sources of T: internal
+// node n holds the index of the source that lost the match at n, and
+// nodes[0] holds the overall winner. Selecting the next item then costs
+// one root-to-leaf replay of ⌈log2 k⌉ comparisons against the recorded
+// losers — roughly half the comparisons of a binary heap, which
+// re-compares two children per level on the way down. Exhausted sources
+// compare as +∞ and sink to the bottom of the bracket; ties break toward
+// the lower source index, which makes the merge stable: equal items
+// arrive in source order.
+//
+// The tree holds each source's current item but never reads a source
+// itself: the owner pushes every source's first item, then after taking
+// the winner pulls that source's next item and hands it to Advance. The
+// sorter merges byte rows with it, package cellfile merges cells.
+type LoserTree[T any] struct {
+	nodes []int     // nodes[0] = winner; nodes[1:] = losers, -1 = unplayed
+	heads []head[T] // each source's current item
+	k     int
+	cmp   func(a, b T) int
 }
 
-// newLoserTree builds the bracket over byte-ordered rows; every source
-// must already be positioned on its first row (or exhausted).
-func newLoserTree(srcs []mergeSource) *loserTree {
-	return newLoserTreeCmp(srcs, nil)
+// head is one source's current item; live is false once it is exhausted.
+type head[T any] struct {
+	item T
+	live bool
 }
 
-// newLoserTreeCmp builds the bracket with a caller-supplied row order;
-// nil cmp means bytes.Compare.
-func newLoserTreeCmp(srcs []mergeSource, cmp func(a, b []byte) int) *loserTree {
-	if cmp == nil {
-		cmp = bytes.Compare
-	}
-	k := len(srcs)
-	n := k
-	if n < 1 {
-		n = 1
-	}
-	lt := &loserTree{srcs: srcs, nodes: make([]int, n), cmp: cmp}
+// NewLoserTree returns the bracket for k sources ordered by cmp. Push
+// each source's first item, in source order, before calling Winner.
+func NewLoserTree[T any](k int, cmp func(a, b T) int) *LoserTree[T] {
+	n := max(k, 1)
+	lt := &LoserTree[T]{nodes: make([]int, n), heads: make([]head[T], 0, k), k: k, cmp: cmp}
 	for i := range lt.nodes {
 		lt.nodes[i] = -1
-	}
-	for i := 0; i < k; i++ {
-		lt.seed(i)
 	}
 	return lt
 }
 
-// less orders sources by current row (exhausted = +∞, ties by index).
-func (lt *loserTree) less(i, j int) bool {
-	a, b := lt.srcs[i].cur(), lt.srcs[j].cur()
-	if b == nil {
-		return a != nil || i < j
-	}
-	if a == nil {
-		return false
-	}
-	if c := lt.cmp(a, b); c != 0 {
-		return c < 0
-	}
-	return i < j
-}
-
-// seed plays source s up from its leaf during construction. Meeting an
-// empty node parks the current winner there — its opponent has not played
-// yet; the last source on each path carries the match through to the root.
-func (lt *loserTree) seed(s int) {
-	k := len(lt.srcs)
+// Push seeds the next source with its first item (ok false: the source
+// is empty) and plays it up from its leaf. Meeting an empty node parks
+// the current winner there — its opponent has not played yet; the last
+// source on each path carries the match through to the root.
+func (lt *LoserTree[T]) Push(item T, ok bool) {
+	s := len(lt.heads)
+	lt.heads = append(lt.heads, head[T]{item, ok})
 	winner := s
-	for n := (s + k) / 2; n > 0; n /= 2 {
+	for n := (s + lt.k) / 2; n > 0; n /= 2 {
 		if lt.nodes[n] < 0 {
 			lt.nodes[n] = winner
 			return
@@ -88,20 +71,55 @@ func (lt *loserTree) seed(s int) {
 	lt.nodes[0] = winner
 }
 
-// winner returns the source index holding the smallest current row. Check
-// its cur() for nil to detect the end of the whole merge.
-func (lt *loserTree) winner() int { return lt.nodes[0] }
+// less orders sources by current item (exhausted = +∞, ties by index).
+func (lt *LoserTree[T]) less(i, j int) bool {
+	a, b := &lt.heads[i], &lt.heads[j]
+	if !b.live {
+		return a.live || i < j
+	}
+	if !a.live {
+		return false
+	}
+	if c := lt.cmp(a.item, b.item); c != 0 {
+		return c < 0
+	}
+	return i < j
+}
 
-// replay re-runs the winner's root-to-leaf path after its source advanced.
-func (lt *loserTree) replay() {
-	k := len(lt.srcs)
+// Winner returns the source holding the smallest current item and that
+// item; ok is false once every source is exhausted (or there are none).
+func (lt *LoserTree[T]) Winner() (src int, item T, ok bool) {
+	w := lt.nodes[0]
+	if w < 0 || !lt.heads[w].live {
+		var zero T
+		return w, zero, false
+	}
+	return w, lt.heads[w].item, true
+}
+
+// Advance replaces the winner's current item with its source's next one
+// (ok false: the source is exhausted) and replays the winner's
+// root-to-leaf path.
+func (lt *LoserTree[T]) Advance(item T, ok bool) {
 	winner := lt.nodes[0]
-	for n := (winner + k) / 2; n > 0; n /= 2 {
+	lt.heads[winner] = head[T]{item, ok}
+	for n := (winner + lt.k) / 2; n > 0; n /= 2 {
 		if lt.nodes[n] >= 0 && lt.less(lt.nodes[n], winner) {
 			winner, lt.nodes[n] = lt.nodes[n], winner
 		}
 	}
 	lt.nodes[0] = winner
+}
+
+// rowTree builds the byte-order bracket over the sorter's sources, each
+// already positioned on its first row (or exhausted).
+func rowTree(srcs []mergeSource) *LoserTree[[]byte] {
+	lt := NewLoserTree(len(srcs), bytes.Compare)
+	for _, s := range srcs {
+		row := s.cur()
+		lt.Push(row, row != nil)
+	}
+	return lt
 }
 
 // memRun adapts a sorted in-memory row buffer as a mergeSource.

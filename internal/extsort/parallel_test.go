@@ -42,22 +42,19 @@ func TestLoserTreeMerge(t *testing.T) {
 		for i, buf := range chunks {
 			srcs[i] = &memRun{buf: buf, w: 5}
 		}
-		lt := newLoserTree(srcs)
+		lt := rowTree(srcs)
 		var got [][]byte
 		for {
-			w := lt.winner()
-			if w < 0 {
-				break
-			}
-			row := lt.srcs[w].cur()
-			if row == nil {
+			w, row, ok := lt.Winner()
+			if !ok {
 				break
 			}
 			got = append(got, append([]byte(nil), row...))
-			if err := lt.srcs[w].next(); err != nil {
+			if err := srcs[w].next(); err != nil {
 				t.Fatal(err)
 			}
-			lt.replay()
+			row = srcs[w].cur()
+			lt.Advance(row, row != nil)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: merged %d rows, want %d", k, len(got), len(want))
@@ -70,11 +67,14 @@ func TestLoserTreeMerge(t *testing.T) {
 	}
 }
 
-// TestLoserTreeNoSources checks the k=0 edge: winner reports no source.
+// TestLoserTreeNoSources checks the k=0 edge and a bracket of empty
+// sources: Winner reports no item.
 func TestLoserTreeNoSources(t *testing.T) {
-	lt := newLoserTree(nil)
-	if w := lt.winner(); w >= 0 {
+	if w, _, ok := rowTree(nil).Winner(); ok {
 		t.Fatalf("winner = %d for empty tree", w)
+	}
+	if w, _, ok := rowTree([]mergeSource{&memRun{w: 5}, &memRun{w: 5}}).Winner(); ok {
+		t.Fatalf("winner = %d over exhausted sources", w)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"x3/internal/cellfile"
 	"x3/internal/cube"
 	"x3/internal/obs"
 )
@@ -204,5 +205,85 @@ func TestDifferentialSpaceBudgetLadder(t *testing.T) {
 		plans[PlanDirect], plans[PlanRollup], plans[PlanBase])
 	if plans[PlanDirect] == 0 || plans[PlanRollup] == 0 || plans[PlanBase] == 0 {
 		t.Errorf("plan mix degenerate: %v — the budgeted ladder sweep must exercise every serving path", plans)
+	}
+}
+
+// TestBudgetGenerationsHoldOnlyKeep pins the manifest's invariant under a
+// space budget: after every flush and every compaction, each generation
+// file holds only cuboids the manifest's Keep names. The dangerous moment
+// is a compaction that shrinks the keep set while the memtable still
+// holds cells of the dropped cuboids: neither the next flush nor a later
+// compaction that keeps the set as it is may write them back.
+func TestBudgetGenerationsHoldOnlyKeep(t *testing.T) {
+	for _, ds := range ladderDatasets() {
+		t.Run(ds.name, func(t *testing.T) {
+			ctx := context.Background()
+			lat := ds.lat(t)
+			oracle := newLadderOracle(t, lat)
+			baseSet := oracle.add(t, ds.doc(1))
+			full, err := BuildDir(t.TempDir(), lat, baseSet, Options{BlockCells: 16, FlushCells: -1, CompactAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := full.rdr.DataBytes() / 2
+			full.Close()
+			s, err := BuildDir(t.TempDir(), lat, baseSet, Options{SpaceBudget: budget, BlockCells: 16, FlushCells: -1, CompactAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			check := func(stage string) {
+				t.Helper()
+				keep := make(map[uint32]bool, len(s.man.Keep))
+				for _, pid := range s.man.Keep {
+					keep[pid] = true
+				}
+				for i, g := range append([]*cellfile.IndexedReader{s.rdr}, s.deltas...) {
+					for _, pid := range g.Points() {
+						if !keep[pid] {
+							t.Fatalf("%s: generation %d holds cuboid %d, which Keep %v does not name", stage, i, pid, s.man.Keep)
+						}
+					}
+				}
+			}
+			appendDoc := func(seed int64) {
+				t.Helper()
+				doc := ds.doc(seed)
+				oracle.add(t, doc)
+				if _, err := s.Append(ctx, docBytes(t, doc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plans := map[PlanKind]int{}
+			shrank := false
+			for k := int64(1); k <= 3; k++ {
+				appendDoc(100 + k)
+				if err := s.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("flush %d", k))
+				appendDoc(200 + k) // the memtable holds cells through the compaction
+				sweepLadder(t, s, oracle.result(t), plans)
+				before := len(s.man.Keep)
+				if err := s.Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("compaction %d", k))
+				shrank = shrank || len(s.man.Keep) < before
+			}
+			if err := s.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			check("last flush")
+			if err := s.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+			check("last compaction")
+			sweepLadder(t, s, oracle.result(t), plans)
+			if !shrank {
+				t.Fatal("no compaction shrank the keep set with cells in the memtable: the test does not reach the leak")
+			}
+		})
 	}
 }

@@ -49,7 +49,10 @@ func answerSnapshot(tb testing.TB, s *Store) map[string]string {
 // The per-family subtests let the indexed path's own retries absorb nearly
 // every fault. The "unretried" leg turns retrying off on smaller blocks,
 // so faults reach the degraded re-scan of roll-up answers too — it must
-// see such an answer, and it must be exact.
+// see such an answer, and it must be exact. Its ladder subtests serve
+// from three generations plus the memtable, and must see a degraded
+// direct answer: the merged read restarted with a faulted generation
+// re-read verified.
 func TestDifferentialFaultServing(t *testing.T) {
 	for _, ds := range diffServeDatasets() {
 		t.Run(ds.name, func(t *testing.T) {
@@ -57,16 +60,31 @@ func TestDifferentialFaultServing(t *testing.T) {
 		})
 	}
 	t.Run("unretried", func(t *testing.T) {
-		degradedRollups := 0
+		degradedRollups, degradedLadder := 0, 0
 		for _, ds := range diffServeDatasets() {
 			t.Run(ds.name, func(t *testing.T) {
 				degradedRollups += faultServingSweep(t, ds, fault.Config{CorruptEvery: 7}, 8, -1)
 			})
 		}
+		for _, ds := range ladderDatasets() {
+			t.Run("ladder_"+ds.name, func(t *testing.T) {
+				degradedLadder += faultLadderSweep(t, ds, fault.Config{CorruptEvery: 7}, 8, -1)
+			})
+		}
 		if degradedRollups == 0 {
 			t.Error("no roll-up answer came back degraded — the leg does not reach the roll-up re-scan")
 		}
+		if degradedLadder == 0 {
+			t.Error("no multi-generation direct answer came back degraded — the leg does not reach the merge's restart")
+		}
 	})
+}
+
+// explicitFailure reports whether err carries one of the sentinels a
+// faulted read may fail with.
+func explicitFailure(err error) bool {
+	return errors.Is(err, cellfile.ErrCorrupt) || errors.Is(err, cellfile.ErrTruncated) ||
+		fault.IsInjected(err)
 }
 
 // faultServingSweep runs one dataset family of TestDifferentialFaultServing
@@ -74,10 +92,6 @@ func TestDifferentialFaultServing(t *testing.T) {
 // returns how many roll-up answers came back degraded.
 func faultServingSweep(t *testing.T, ds diffServeDataset, cfg fault.Config, blockCells, retries int) int {
 	const seeds = 10
-	explicitFailure := func(err error) bool {
-		return errors.Is(err, cellfile.ErrCorrupt) || errors.Is(err, cellfile.ErrTruncated) ||
-			fault.IsInjected(err)
-	}
 	reg := obs.New()
 	var degraded, degradedRollups int
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -128,6 +142,80 @@ func faultServingSweep(t *testing.T, ds diffServeDataset, cfg fault.Config, bloc
 	t.Logf("%s: %d degraded answers (%d roll-ups), %d corruptions, %d short reads injected", ds.name,
 		degraded, degradedRollups, reg.Counter("fault.injected.corrupt").Value(), reg.Counter("fault.injected.short").Value())
 	return degradedRollups
+}
+
+// faultLadderSweep is faultServingSweep over delta-ladder stores: each
+// seed builds a base generation, flushes two deltas and leaves a third
+// append in the memtable, so every direct answer merges three generations
+// and the memtable while cfg's faults hit the generation reads. Every
+// answer must be byte-equal to the oracle or fail with a sentinel.
+// Returns how many direct answers came back degraded.
+func faultLadderSweep(t *testing.T, ds ladderDataset, cfg fault.Config, blockCells, retries int) int {
+	const seeds = 10
+	reg := obs.New()
+	var degradedDirect int
+	for seed := int64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			ctx := context.Background()
+			lat := ds.lat(t)
+			oracle := newLadderOracle(t, lat)
+			base := oracle.add(t, ds.doc(seed))
+			cfg.Seed = seed
+			inj := fault.New(cfg)
+			inj.Observe(reg)
+			s, err := BuildDir(t.TempDir(), lat, base, Options{
+				Registry: reg, Views: ds.views, BlockCells: blockCells, CacheBytes: -1,
+				Fault: inj, Retries: retries, FlushCells: -1, CompactAfter: -1,
+			})
+			if err != nil {
+				if !explicitFailure(err) {
+					t.Fatalf("build failed without a sentinel: %v", err)
+				}
+				t.Logf("build failed explicitly: %v", err)
+				return
+			}
+			defer s.Close()
+			for k := int64(1); k <= 3; k++ {
+				doc := ds.doc(seed*100 + k)
+				oracle.add(t, doc)
+				if _, err := s.Append(ctx, docBytes(t, doc)); err != nil {
+					t.Fatalf("append %d: %v", k, err)
+				}
+				// A flush re-opens the delta it wrote under the injector.
+				// A failed attempt fails explicitly and leaves the
+				// memtable serving, so the next attempt writes the same
+				// delta again.
+				for attempt := 0; k < 3; attempt++ {
+					err := s.Flush(ctx)
+					if err == nil {
+						break
+					}
+					if !explicitFailure(err) || attempt == 20 {
+						t.Fatalf("flush %d, attempt %d: %v", k, attempt, err)
+					}
+				}
+			}
+			if d, m := s.Generations(); d != 2 || m == 0 {
+				t.Fatalf("ladder holds %d deltas and %d memtable cells, want 2 and some", d, m)
+			}
+			res := oracle.result(t)
+			for _, p := range lat.Points() {
+				ans, err := s.Answer(ctx, Query{Point: p})
+				if err != nil {
+					if !explicitFailure(err) {
+						t.Fatalf("%s: failed without a sentinel: %v", lat.Label(p), err)
+					}
+					continue
+				}
+				if ans.Degraded && ans.Plan == PlanDirect {
+					degradedDirect++
+				}
+				assertRowsMatchOracle(t, s, res, p, ans)
+			}
+		})
+	}
+	t.Logf("%s: %d degraded direct answers over three generations and the memtable", ds.name, degradedDirect)
+	return degradedDirect
 }
 
 // assertRowsMatchOracle compares one answer with the oracle cuboid cell by

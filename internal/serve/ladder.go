@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"x3/internal/cellfile"
@@ -441,10 +440,11 @@ func (s *Store) flushLocked(ctx context.Context) error {
 }
 
 // Compact merges the base generation and every outstanding delta into a
-// new base file — the loser-tree k-way merge of extsort, with equal
-// (cuboid, group) cells re-aggregated across generations — and swaps the
-// manifest to the single merged generation. The memtable and WAL are
-// untouched: compaction changes the file layout, never the answer.
+// new base file — cellfile.MergeAgg, the merge the query path reads
+// through, so equal (cuboid, group) cells combine in generation order —
+// and swaps the manifest to the single merged generation. The memtable
+// and WAL are untouched: compaction changes the file layout, never the
+// answer.
 // Cancellable via ctx; a failure or crash at any point leaves the old
 // generation set serving.
 func (s *Store) Compact(ctx context.Context) error {
@@ -472,49 +472,35 @@ func (s *Store) compactLocked(ctx context.Context) error {
 
 	// Under a space budget the compaction is also the adaptation point:
 	// re-run the cost-model selection with the live query weights and
-	// cache hit rate, and filter dropped cuboids out of the merge. The
-	// planner re-derives their answers from finer cuboids or base facts.
-	newKeepSorted := s.man.Keep
-	var newKeepSet map[uint32]bool
+	// cache hit rate. Either way the merge keeps exactly the keep set, so
+	// every generation holds the cuboids the manifest names and no other;
+	// the planner re-derives a dropped cuboid's answers from finer
+	// cuboids or base facts.
+	newKeepSorted, newKeepSet := s.man.Keep, s.keep
 	var newDecisions []costmodel.Decision
-	filter := false
 	if s.spaceBudget > 0 {
 		pids, set, decisions, err := s.budgetKeep(gens)
 		if err != nil {
 			return err
 		}
 		newKeepSorted, newKeepSet, newDecisions = pids, set, decisions
-		filter = len(pids) != len(s.man.Keep)
 	}
 
 	name := genName("base", s.man.NextGen)
 	full := filepath.Join(s.dir, name)
 	rdr, cells, err := s.publish(full, func(w *cellfile.Writer) error {
-		// pend accumulates one (cuboid, group) cell across generations; the
-		// merge delivers equal cells adjacently.
-		var pend cellfile.Cell
-		have := false
-		emitPending := func() error {
-			if !have || filter && !newKeepSet[pend.Point] {
-				return nil
-			}
-			return w.Cell(pend.Point, pend.Key, pend.State)
+		srcs := make([]cellfile.Stream, len(gens))
+		for i, g := range gens {
+			c := g.All(cellfile.Verified)
+			defer c.Close()
+			srcs[i] = c
 		}
-		err := cellfile.Merge(ctx, gens, func(c cellfile.Cell) error {
-			if have && c.Point == pend.Point && slices.Equal(c.Key, pend.Key) {
-				pend.State.Merge(c.State)
+		return cellfile.MergeAgg(ctx, srcs, func(c *cellfile.Cell) error {
+			if !newKeepSet[c.Point] {
 				return nil
 			}
-			if err := emitPending(); err != nil {
-				return err
-			}
-			pend.Point, pend.Key, pend.State, have = c.Point, append(pend.Key[:0], c.Key...), c.State, true
-			return nil
+			return w.Cell(c.Point, c.Key, c.State)
 		})
-		if err != nil {
-			return err
-		}
-		return emitPending()
 	})
 	if err != nil {
 		return err
@@ -542,6 +528,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 		s.keepSorted = newKeepSorted
 		s.keep = newKeepSet
 		s.decisions = newDecisions
+		s.mem.Restrict(newKeepSorted)
 	}
 	s.mu.Unlock()
 

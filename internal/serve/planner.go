@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"x3/internal/agg"
 	"x3/internal/cellfile"
+	"x3/internal/cube"
 	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/views"
@@ -187,149 +189,181 @@ func (s *Store) execute(ctx context.Context, q Query, live []int) (*Answer, erro
 	return &Answer{Plan: plan, From: from, Rows: rows, Degraded: degraded}, nil
 }
 
-// eachCell streams cuboid pid's cells of one generation file to fn with
-// the degraded-read ladder: the indexed path first (its own bounded
-// retries included), and on a data fault a sequential, cache-bypassing,
-// checksum-verified scan after reset() clears whatever fn accumulated.
-// Cancellations pass through; a scan that also fails reports both
-// causes, wrapping the scan's sentinel.
-func (s *Store) eachCell(ctx context.Context, rdr *cellfile.IndexedReader, pid uint32, reset func(), fn func(cellfile.Cell) error) (degraded bool, err error) {
-	err = rdr.EachCuboidCtx(ctx, pid, fn)
-	if err == nil || isCancellation(err) {
-		return false, err
-	}
-	s.reg.Counter("serve.degraded.scan").Inc()
-	reset()
-	serr := rdr.ScanCuboid(ctx, pid, fn)
-	if serr == nil || isCancellation(serr) {
-		return true, serr
-	}
-	return true, fmt.Errorf("serve: cuboid %d unreadable (%w); degraded scan: %w", pid, err, serr)
+// pin is one of a query's equality constraints placed in the key of the
+// cuboid a plan reads: a cell survives when Key[pos] == val.
+type pin struct {
+	pos int
+	val match.ValueID
 }
 
-// generations returns the open generation readers, base first then
-// deltas oldest-first, under a held read lock. Single-file stores have
-// exactly one.
-func (s *Store) generations() []*cellfile.IndexedReader {
-	if len(s.deltas) == 0 {
-		return []*cellfile.IndexedReader{s.rdr}
+// pinsAt places the query's constraints in the key of the cuboid a plan
+// reads: the target's i-th live axis sits at position proj[i] of that
+// key, or at i when proj is nil (a direct read).
+func pinsAt(where map[int]match.ValueID, live, proj []int) []pin {
+	pins := make([]pin, 0, len(where))
+	for i, a := range live {
+		if v, ok := where[a]; ok {
+			pos := i
+			if proj != nil {
+				pos = proj[i]
+			}
+			pins = append(pins, pin{pos: pos, val: v})
+		}
 	}
-	gens := make([]*cellfile.IndexedReader, 0, 1+len(s.deltas))
-	gens = append(gens, s.rdr)
-	return append(gens, s.deltas...)
+	return pins
 }
 
-// eachMemCell streams the memtable's cells for cuboid pid (ladder
-// stores; a no-op otherwise), adapting them to the cell shape the
-// generation readers produce.
-func (s *Store) eachMemCell(pid uint32, fn func(cellfile.Cell) error) error {
-	if s.mem == nil {
-		return nil
-	}
-	return s.mem.EachCuboid(pid, func(key []match.ValueID, st agg.State) error {
-		return fn(cellfile.Cell{Point: pid, Key: key, State: st})
-	})
+// source is one input of a merged cuboid read — a generation's cursor or
+// the memtable — with the query's pins applied before the merge. err
+// keeps the input's own failure: the generation the ladder re-reads.
+type source struct {
+	in   cellfile.Stream
+	pins []pin
+	err  error
 }
 
-// answerDirect streams the materialized target cuboid, filtering, when it
-// lives in one generation file and the memtable is empty: the file's own
-// sort order is then the answer. Otherwise same-group cells from several
-// generations must be re-aggregated, which is the roll-up merge under the
-// identity projection.
-func (s *Store) answerDirect(ctx context.Context, q Query, live []int) ([]Row, bool, error) {
-	if len(s.deltas) > 0 || (s.mem != nil && s.mem.Cells() > 0) {
-		return s.answerRollup(ctx, q, live, q.Point)
-	}
-	var rows []Row
-	degraded, err := s.eachCell(ctx, s.rdr, s.lat.ID(q.Point), func() { rows = rows[:0] }, func(c cellfile.Cell) error {
-		for i, a := range live {
-			if want, ok := q.Where[a]; ok && c.Key[i] != want {
-				return nil
+// Next implements cellfile.Stream.
+func (src *source) Next(ctx context.Context) (*cellfile.Cell, error) {
+next:
+	for {
+		c, err := src.in.Next(ctx)
+		if c == nil || err != nil {
+			src.err = err
+			return nil, err
+		}
+		for _, p := range src.pins {
+			if c.Key[p.pos] != p.val {
+				continue next
 			}
 		}
+		return c, nil
+	}
+}
+
+// memCuboid streams one memtable cuboid, in key order, as cells.
+type memCuboid struct {
+	c    cube.DeltaCuboid
+	i    int
+	cell cellfile.Cell
+}
+
+// Next implements cellfile.Stream.
+func (m *memCuboid) Next(context.Context) (*cellfile.Cell, error) {
+	if m.i == m.c.Len() {
+		return nil, nil
+	}
+	m.cell.Key, m.cell.State = m.c.At(m.i)
+	m.i++
+	return &m.cell, nil
+}
+
+// mergeCuboid streams cuboid pid, under a held read lock, from the base,
+// the deltas oldest first and the memtable through cellfile.MergeAgg: fn
+// sees each surviving group once, in key order, its state merged across
+// the sources in that order. A single-file store is a merge of one.
+//
+// The degraded ladder runs by restart: when generation i fails with a
+// data fault, serve.degraded.scan counts it, reset clears what fn
+// accumulated, and the merge runs again with i re-read Verified. A
+// verified re-read that fails too fails the read with both causes,
+// wrapping the re-read's sentinel. Cancellations pass through.
+func (s *Store) mergeCuboid(ctx context.Context, pid uint32, pins []pin, reset func(), fn func(*cellfile.Cell) error) (degraded bool, err error) {
+	// genRead is one generation's input and the fault, if any, that
+	// switched its mode to Verified.
+	type genRead struct {
+		src   source
+		cur   *cellfile.Cursor
+		mode  cellfile.ReadMode
+		fault error
+	}
+	reads := make([]genRead, 1+len(s.deltas))
+	streams := make([]cellfile.Stream, 0, len(reads)+1)
+	for {
+		streams = streams[:0]
+		for i := range reads {
+			g := &reads[i]
+			gen := s.rdr
+			if i > 0 {
+				gen = s.deltas[i-1]
+			}
+			g.cur = gen.Cuboid(pid, g.mode)
+			g.src = source{in: g.cur, pins: pins}
+			streams = append(streams, &g.src)
+		}
+		if s.mem != nil && s.mem.CuboidCells(pid) > 0 {
+			streams = append(streams, &source{in: &memCuboid{c: s.mem.Cuboid(pid), cell: cellfile.Cell{Point: pid}}, pins: pins})
+		}
+		err := cellfile.MergeAgg(ctx, streams, fn)
+		for i := range reads {
+			reads[i].cur.Close()
+		}
+		if err == nil || isCancellation(err) {
+			return degraded, err
+		}
+		i := slices.IndexFunc(reads, func(g genRead) bool { return g.src.err != nil })
+		if i < 0 {
+			return degraded, err
+		}
+		g := &reads[i]
+		if g.mode == cellfile.Verified {
+			return true, fmt.Errorf("serve: cuboid %d unreadable (%w); degraded scan: %w", pid, g.fault, g.src.err)
+		}
+		s.reg.Counter("serve.degraded.scan").Inc()
+		g.fault, g.mode, degraded = g.src.err, cellfile.Verified, true
+		reset()
+	}
+}
+
+// answerDirect streams the materialized target cuboid out of the merged
+// generations: the merge's key order is the answer's, so the rows need
+// no map and no sort.
+func (s *Store) answerDirect(ctx context.Context, q Query, live []int) ([]Row, bool, error) {
+	var rows []Row
+	degraded, err := s.mergeCuboid(ctx, s.lat.ID(q.Point), pinsAt(q.Where, live, nil), func() { rows = rows[:0] }, func(c *cellfile.Cell) error {
 		key := make([]match.ValueID, len(c.Key))
 		copy(key, c.Key)
 		rows = append(rows, Row{Key: key, State: c.State})
 		return nil
 	})
-	return rows, degraded, err // already in key order: the file is sorted
+	return rows, degraded, err
 }
 
-// answerRollup streams the finer materialized cuboid `from` from every
-// generation and the memtable and merges its cells into the target's
+// answerRollup merges the finer materialized cuboid `from` across the
+// generations and the memtable and folds its cells into the target's
 // coarser groups. Safe relaxation steps make this exact: across a ladder
-// state step the cells coincide, and across an LND step the dropped axis's
-// groups partition the facts, so aggregate-state merging (internal/agg)
-// reproduces the target cuboid. With from equal to the target the
-// projection is the identity and the merge only re-aggregates same-group
-// cells across generations.
+// state step the cells coincide, and across an LND step the dropped
+// axis's groups partition the facts, so aggregate-state merging
+// (internal/agg) reproduces the target cuboid.
 func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from lattice.Point) ([]Row, bool, error) {
 	fromLive := s.lat.LiveAxes(from)
 	// proj[i] is the position within from's key of the target's i-th
 	// live axis.
 	proj := make([]int, len(live))
 	for i, a := range live {
-		pos := -1
-		for j, fa := range fromLive {
-			if fa == a {
-				pos = j
-				break
-			}
-		}
+		pos := slices.Index(fromLive, a)
 		if pos < 0 {
 			return nil, false, fmt.Errorf("serve: internal: axis %d live at %s but not at finer %s",
 				a, s.lat.Label(q.Point), s.lat.Label(from))
 		}
 		proj[i] = pos
 	}
-	fromPid := s.lat.ID(from)
 	groups := make(map[string]agg.State)
 	key := make([]match.ValueID, len(live))
 	var buf []byte
-	accumulate := func(into map[string]agg.State) func(cellfile.Cell) error {
-		return func(c cellfile.Cell) error {
-			for i := range live {
-				key[i] = c.Key[proj[i]]
-			}
-			for i, a := range live {
-				if want, ok := q.Where[a]; ok && key[i] != want {
-					return nil
-				}
-			}
-			buf = packKey(buf[:0], key)
-			st := into[string(buf)]
-			st.Merge(c.State)
-			into[string(buf)] = st
-			return nil
+	degraded, err := s.mergeCuboid(ctx, s.lat.ID(from), pinsAt(q.Where, live, proj), func() { clear(groups) }, func(c *cellfile.Cell) error {
+		for i := range live {
+			key[i] = c.Key[proj[i]]
 		}
+		buf = packKey(buf[:0], key)
+		st := groups[string(buf)]
+		st.Merge(c.State)
+		groups[string(buf)] = st
+		return nil
+	})
+	if err != nil {
+		return nil, degraded, err
 	}
-	var anyDegraded bool
-	// Per-generation staging keeps the degraded-scan reset from discarding
-	// other generations' contributions. The reset clears gen in place:
-	// accumulate(gen) is bound to this map, so the re-scan must refill it.
-	gen := make(map[string]agg.State)
-	for _, rdr := range s.generations() {
-		clear(gen)
-		degraded, err := s.eachCell(ctx, rdr, fromPid, func() { clear(gen) }, accumulate(gen))
-		anyDegraded = anyDegraded || degraded
-		if err != nil {
-			return nil, anyDegraded, err
-		}
-		mergeGroups(groups, gen)
-	}
-	if err := s.eachMemCell(fromPid, accumulate(groups)); err != nil {
-		return nil, anyDegraded, err
-	}
-	return rowsFromGroups(groups), anyDegraded, nil
-}
-
-// mergeGroups folds src's aggregation states into dst.
-func mergeGroups(dst, src map[string]agg.State) {
-	for k, st := range src { //x3:nolint(detiter) state merging is commutative and dst is only observed after key-sorting
-		d := dst[k]
-		d.Merge(st)
-		dst[k] = d
-	}
+	return rowsFromGroups(groups), degraded, nil
 }
 
 // answerFromBase recomputes the target cuboid from the base facts — the
