@@ -247,7 +247,8 @@ const DefaultBufferBytes = 64 << 20
 // it. Cells are buffered and, on Close, sorted into a Writer. Once the
 // buffer holds BufferBytes, it is sorted and spilled as a run — itself an
 // indexed cell file beside path — and Close merges the runs. The file is
-// the same either way.
+// the same either way. Sorted hands the same sorted stream to a caller
+// that writes the file itself.
 type IndexedSink struct {
 	path string
 	// BlockCells overrides the index block granularity (cells per block);
@@ -299,7 +300,9 @@ func (s *IndexedSink) spill() error {
 	if err != nil {
 		return fmt.Errorf("cellfile: %w", err)
 	}
-	_, err = writeCells(f, s.BlockCells, s.Fault, s.writeSorted)
+	_, err = writeCells(f, s.BlockCells, s.Fault, func(w *Writer) error {
+		return s.sortBuffer(func(c *Cell) error { return w.Cell(c.Point, c.Key, c.State) })
+	})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -313,26 +316,26 @@ func (s *IndexedSink) spill() error {
 	return nil
 }
 
-// writeSorted sorts the buffer into w.
-func (s *IndexedSink) writeSorted(w *Writer) error {
+// sortBuffer sorts the buffered cells and passes each to fn, in order.
+func (s *IndexedSink) sortBuffer(fn func(*Cell) error) error {
 	sortCells(s.cells)
 	for i := range s.cells {
-		c := &s.cells[i]
-		if err := w.Cell(c.Point, c.Key, c.State); err != nil {
+		if err := fn(&s.cells[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close writes the indexed file, synced to stable storage before it
-// returns, so a rename that follows Close publishes durable bytes. Spilled
-// runs are merged into it and removed. On failure no file is left at path.
-func (s *IndexedSink) Close() error {
-	defer s.release()
+// Sorted streams every collected cell to fn in file order: the buffer is
+// sorted in place or, once runs were spilled, spilled as one more run and
+// merged with them. Equal cells are all passed on, so a caller can see a
+// cube algorithm that emitted a cell twice. Sorted may run more than
+// once until Close or Abort; the cell passed to fn is borrowed until fn
+// returns.
+func (s *IndexedSink) Sorted(fn func(*Cell) error) error {
 	if len(s.runs) == 0 {
-		_, err := WriteFile(s.path, s.BlockCells, s.Fault, s.writeSorted)
-		return err
+		return s.sortBuffer(fn)
 	}
 	if len(s.cells) > 0 {
 		if err := s.spill(); err != nil {
@@ -354,10 +357,16 @@ func (s *IndexedSink) Close() error {
 		rs = append(rs, r)
 		srcs = append(srcs, r.All(Verified))
 	}
-	// A plain merge, not MergeAgg: a cube algorithm that emits a cell
-	// twice must leave both in the file, where a check can see them.
+	return Merge(nil, srcs, fn)
+}
+
+// Close writes the indexed file, synced to stable storage before it
+// returns, so a rename that follows Close publishes durable bytes. Spilled
+// runs are merged into it and removed. On failure no file is left at path.
+func (s *IndexedSink) Close() error {
+	defer s.release()
 	_, err := WriteFile(s.path, s.BlockCells, s.Fault, func(w *Writer) error {
-		return Merge(nil, srcs, func(c *Cell) error { return w.Cell(c.Point, c.Key, c.State) })
+		return s.Sorted(func(c *Cell) error { return w.Cell(c.Point, c.Key, c.State) })
 	})
 	return err
 }

@@ -312,7 +312,8 @@ func randomCells(n int, seed int64) []Cell {
 
 // TestSinkSpillsUnderBound: a sink whose buffer bound holds a fraction of
 // the cells spills sorted runs and merges them into a file byte-identical
-// to the unbounded one, leaving no run behind.
+// to the unbounded one, leaving no run behind; Sorted streams the same
+// cells in file order, repeatably, before Close.
 func TestSinkSpillsUnderBound(t *testing.T) {
 	cells := randomCells(5*minRunCells, 3)
 	dir := t.TempDir()
@@ -324,6 +325,23 @@ func TestSinkSpillsUnderBound(t *testing.T) {
 		for _, c := range cells {
 			if err := sink.Cell(c.Point, c.Key, c.State); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// Sorted repeats: each pass yields every cell in file order, and
+		// the file Close then writes is unchanged by the passes.
+		for range 2 {
+			var n int
+			var prev Cell
+			err := sink.Sorted(func(c *Cell) error {
+				if n > 0 && compareCells(prev.Point, prev.Key, c.Point, c.Key) >= 0 {
+					t.Fatalf("%s: cell %d out of file order", name, n)
+				}
+				prev = cloneCell(*c)
+				n++
+				return nil
+			})
+			if err != nil || n != len(cells) {
+				t.Fatalf("%s: Sorted passed %d of %d cells (err %v)", name, n, len(cells), err)
 			}
 		}
 		runs := len(sink.runs)

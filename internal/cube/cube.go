@@ -372,7 +372,7 @@ func (r *Result) CuboidSize(p lattice.Point) int {
 func (r *Result) Keys(p lattice.Point) [][]match.ValueID {
 	m := r.Cuboids[r.Lattice.ID(p)]
 	ks := make([]string, 0, len(m))
-	for k := range m { //x3:nolint(detiter) keys are byte-sorted below before anything observes the order
+	for k := range m {
 		ks = append(ks, k)
 	}
 	sort.Strings(ks)

@@ -32,8 +32,11 @@ var detiterRoots = []detiterRoot{
 	// worker output, and every algorithm's cell emission.
 	{"internal/cube", regexp.MustCompile(`\b(Cell|Flush|Close)$`)},
 	// Serving: the full query answer path, the refresh path (append,
-	// flush and compaction writers) and the base-generation writer.
-	{"internal/serve", regexp.MustCompile(`^(Store\.(Answer|ServeRequest|RefreshDoc)|emitResult)$`)},
+	// flush and compaction writers) and the sorted stream a build
+	// publishes as the base generation.
+	{"internal/serve", regexp.MustCompile(`^(Store\.(Answer|ServeRequest|RefreshDoc)|emitBase)$`)},
+	// The sharded gather: every shard's rows fold into one answer.
+	{"internal/shard", regexp.MustCompile(`^Coordinator\.ServeRequest$`)},
 	// The library's own materialization entry.
 	{"", regexp.MustCompile(`^CubeTo`)},
 }

@@ -8,47 +8,84 @@ import (
 	"x3/internal/costmodel"
 	"x3/internal/cube"
 	"x3/internal/lattice"
+	"x3/internal/views"
 )
 
-// selectBudget prices every cuboid of res by the data bytes a cell-file
-// writer encodes it into and runs the greedy benefit-per-byte selection
-// under opt.SpaceBudget. weights and discount carry live workload stats
-// into the model (nil/0 at build time, when no queries have been observed
-// yet).
-func selectBudget(lat *lattice.Lattice, props cube.Props, res *cube.Result, baseRows int, opt Options, weights []float64, discount float64) (map[uint32]bool, []costmodel.Decision, error) {
-	cands := make([]costmodel.Candidate, 0, lat.Size())
-	for _, p := range lat.Points() {
-		pid := lat.ID(p)
-		w := cellfile.NewWriter(io.Discard, opt.BlockCells)
-		for _, key := range res.Keys(p) {
-			st, _ := res.State(p, key)
-			if err := w.Cell(pid, key, st); err != nil {
-				return nil, nil, err
-			}
+// selectKeep picks the cuboids a build materializes, from the sink's
+// sorted cells: every point; the greedy top-opt.Views under the safety
+// properties (package views), sized by cell count; or, under
+// opt.SpaceBudget, the cost model's greedy benefit-per-byte pick, each
+// cuboid priced by the data bytes a cell-file writer of its own encodes
+// it into. No queries have been observed at build time, so no workload
+// weights or scan discount apply.
+func selectKeep(lat *lattice.Lattice, props cube.Props, sink *cellfile.IndexedSink, baseRows int, opt Options) (map[uint32]bool, []costmodel.Decision, error) {
+	keep := make(map[uint32]bool)
+	if opt.SpaceBudget <= 0 && (opt.Views <= 0 || opt.Views >= lat.Size()) {
+		for _, p := range lat.Points() {
+			keep[lat.ID(p)] = true
 		}
-		if err := w.Finish(); err != nil {
-			return nil, nil, err
-		}
-		cands = append(cands, costmodel.Candidate{PID: pid, Cells: w.Cells(), Bytes: w.DataBytes()})
+		return keep, nil, nil
 	}
-	rows := int64(baseRows)
-	if rows < 1 {
-		rows = 1
-	}
-	pids, decisions, err := costmodel.Select(lat, props, cands, costmodel.Config{
-		Budget:       opt.SpaceBudget,
-		Weights:      weights,
-		BaseCost:     rows,
-		ScanDiscount: discount,
-	})
+	cells, bytes, err := tally(sink, lat.Size(), opt.BlockCells, opt.SpaceBudget > 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	keep := make(map[uint32]bool, len(pids))
+	rows := max(int64(baseRows), 1)
+	if opt.SpaceBudget <= 0 {
+		sizes := make(map[uint32]int64, len(cells))
+		for pid, n := range cells {
+			sizes[uint32(pid)] = n
+		}
+		sugg, err := views.Select(lat, props, sizes, rows, opt.Views)
+		for _, sg := range sugg {
+			keep[lat.ID(sg.Point)] = true
+		}
+		return keep, nil, err
+	}
+	cands := make([]costmodel.Candidate, 0, lat.Size())
+	for _, p := range lat.Points() {
+		pid := lat.ID(p)
+		cands = append(cands, costmodel.Candidate{PID: pid, Cells: cells[pid], Bytes: bytes[pid]})
+	}
+	pids, decisions, err := costmodel.Select(lat, props, cands, costmodel.Config{Budget: opt.SpaceBudget, BaseCost: rows})
 	for _, pid := range pids {
 		keep[pid] = true
 	}
-	return keep, decisions, nil
+	return keep, decisions, err
+}
+
+// tally counts the sink's cells per cuboid and, when price is set, the
+// data bytes a writer of blockCells cells per block encodes each cuboid
+// into on its own; both are indexed by pid.
+func tally(sink *cellfile.IndexedSink, points, blockCells int, price bool) (cells, bytes []int64, err error) {
+	cells, bytes = make([]int64, points), make([]int64, points)
+	var w *cellfile.Writer
+	var cur uint32
+	finish := func() error {
+		if w == nil {
+			return nil
+		}
+		err := w.Finish()
+		bytes[cur] = w.DataBytes()
+		return err
+	}
+	err = sink.Sorted(func(c *cellfile.Cell) error {
+		cells[c.Point]++
+		if !price {
+			return nil
+		}
+		if w == nil || c.Point != cur {
+			if err := finish(); err != nil {
+				return err
+			}
+			w, cur = cellfile.NewWriter(io.Discard, blockCells), c.Point
+		}
+		return w.Cell(c.Point, c.Key, c.State)
+	})
+	if err == nil {
+		err = finish()
+	}
+	return cells, bytes, err
 }
 
 // budgetKeep re-runs the cost-model selection at compaction time: the

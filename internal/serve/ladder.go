@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"x3/internal/cellfile"
@@ -54,25 +55,25 @@ const defaultCompactAfter = 4
 // the caller's set is never modified.
 func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*Store, error) {
 	base = base.Clone()
-	res, props, measured, keep, decisions, err := computeCube(lat, base, opt)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	man := manifest{
+	path := filepath.Join(dir, genName("base", 0))
+	s := newStore(path, lat, base, opt.Props, opt.Props == nil, opt)
+	sink, keep, err := s.computeCube(opt)
+	if err != nil {
+		return nil, err
+	}
+	defer sink.Abort()
+	s.initLadder(dir, manifest{
 		Version: manifestVersion,
 		NextGen: 1,
-		Base:    genName("base", 0),
+		Base:    filepath.Base(path),
 		Keep:    sortedKeep(keep),
 		Applied: 1,
-	}
-	s := newStore(filepath.Join(dir, man.Base), lat, base, props, measured, opt)
-	s.decisions = decisions
-	s.initLadder(dir, man, opt)
+	}, opt)
 
-	rdr, _, err := s.publish(s.path, emitResult(lat, res, keep))
+	rdr, _, err := s.publish(path, emitBase(lat, sink, keep))
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +87,7 @@ func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*
 	}
 	s.walW = w
 	s.nextSeq = 1
-	if err := writeManifest(dir, man, s.fault); err != nil {
+	if err := writeManifest(dir, s.man, s.fault); err != nil {
 		w.Close()
 		rdr.Close()
 		return nil, err
@@ -224,7 +225,7 @@ func sortedKeep(keep map[uint32]bool) []uint32 {
 	for pid := range keep {
 		out = append(out, pid)
 	}
-	sortUint32(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -329,11 +329,12 @@ func (s *Store) answerDirect(ctx context.Context, q Query, live []int) ([]Row, b
 }
 
 // answerRollup merges the finer materialized cuboid `from` across the
-// generations and the memtable and folds its cells into the target's
-// coarser groups. Safe relaxation steps make this exact: across a ladder
-// state step the cells coincide, and across an LND step the dropped
-// axis's groups partition the facts, so aggregate-state merging
-// (internal/agg) reproduces the target cuboid.
+// generations and the memtable, projects its cells onto the target's
+// live axes in stream order, and folds them into the target's coarser
+// groups. Safe relaxation steps make this exact: across a ladder state
+// step the cells coincide, and across an LND step the dropped axis's
+// groups partition the facts, so aggregate-state merging (internal/agg)
+// reproduces the target cuboid.
 func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from lattice.Point) ([]Row, bool, error) {
 	fromLive := s.lat.LiveAxes(from)
 	// proj[i] is the position within from's key of the target's i-th
@@ -347,32 +348,28 @@ func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from latt
 		}
 		proj[i] = pos
 	}
-	groups := make(map[string]agg.State)
-	key := make([]match.ValueID, len(live))
-	var buf []byte
-	degraded, err := s.mergeCuboid(ctx, s.lat.ID(from), pinsAt(q.Where, live, proj), func() { clear(groups) }, func(c *cellfile.Cell) error {
+	var rows []Row
+	degraded, err := s.mergeCuboid(ctx, s.lat.ID(from), pinsAt(q.Where, live, proj), func() { rows = rows[:0] }, func(c *cellfile.Cell) error {
+		key := make([]match.ValueID, len(live))
 		for i := range live {
 			key[i] = c.Key[proj[i]]
 		}
-		buf = packKey(buf[:0], key)
-		st := groups[string(buf)]
-		st.Merge(c.State)
-		groups[string(buf)] = st
+		rows = append(rows, Row{Key: key, State: c.State})
 		return nil
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
-	return rowsFromGroups(groups), degraded, nil
+	return foldRows(rows), degraded, nil
 }
 
 // answerFromBase recomputes the target cuboid from the base facts — the
 // oracle-style enumeration of each fact's group memberships at the
-// target's ladder states, restricted by the query's constraints.
+// target's ladder states, restricted by the query's constraints — and
+// folds the memberships, in fact order, into groups.
 func (s *Store) answerFromBase(ctx context.Context, q Query, live []int) ([]Row, error) {
-	groups := make(map[string]agg.State)
+	var rows []Row
 	key := make([]match.ValueID, 0, len(live))
-	var buf []byte
 	var facts int64
 	err := s.base.Each(func(f *match.Fact) error {
 		if facts%ctxCheckEvery == 0 {
@@ -381,13 +378,12 @@ func (s *Store) answerFromBase(ctx context.Context, q Query, live []int) ([]Row,
 			}
 		}
 		facts++
+		var one agg.State
+		one.Add(f.Measure)
 		var rec func(i int)
 		rec = func(i int) {
 			if i == len(live) {
-				buf = packKey(buf[:0], key)
-				st := groups[string(buf)]
-				st.Add(f.Measure)
-				groups[string(buf)] = st
+				rows = append(rows, Row{Key: slices.Clone(key), State: one})
 				return
 			}
 			a := live[i]
@@ -408,17 +404,33 @@ func (s *Store) answerFromBase(ctx context.Context, q Query, live []int) ([]Row,
 		return nil, err
 	}
 	s.reg.Counter("serve.base.facts").Add(facts)
-	return rowsFromGroups(groups), nil
+	return foldRows(rows), nil
 }
 
-// rowsFromGroups converts an aggregation map into key-sorted rows.
-func rowsFromGroups(groups map[string]agg.State) []Row {
-	rows := make([]Row, 0, len(groups))
-	for k, st := range groups { //x3:nolint(detiter) rows are key-sorted below before anything observes the order
-		rows = append(rows, Row{Key: unpackKey([]byte(k)), State: st})
+// foldRows folds (key, state) pairs, in arrival order, into key-sorted
+// rows, one per key (Fold).
+func foldRows(rows []Row) []Row {
+	return Fold(rows, func(a, b Row) int { return slices.Compare(a.Key, b.Key) },
+		func(r *Row) *agg.State { return &r.State })
+}
+
+// Fold is the serving path's one way to combine equal keys. It sorts rows
+// by cmp with a stable sort, so equal rows keep their arrival order, and
+// merges each run of equal rows into its first, state by state in that
+// order: every folded state is bit-equal to merging the run's states into
+// one accumulator as they arrived, however inexact the float sums. The
+// folded rows reuse rows' backing array.
+func Fold[T any](rows []T, cmp func(a, b T) int, state func(*T) *agg.State) []T {
+	slices.SortStableFunc(rows, cmp)
+	out := rows[:0]
+	for i := range rows {
+		if n := len(out); n > 0 && cmp(out[n-1], rows[i]) == 0 {
+			state(&out[n-1]).Merge(*state(&rows[i]))
+			continue
+		}
+		out = append(out, rows[i])
 	}
-	sortRows(rows)
-	return rows
+	return out
 }
 
 // sortedWhereAxes returns a Where clause's axes in ascending order, so

@@ -15,13 +15,23 @@
 // and compacted. Every generation file is written by one routine
 // (publish) and swapped in under the store lock, so queries run
 // concurrently with maintenance.
+//
+// Both builds take one route from algorithm to disk: the cube algorithm
+// computes into a cellfile.IndexedSink, which sorts its cells (spilling
+// sorted runs past a bound); view or budget selection reads per-cuboid
+// cell counts and encoded sizes off that sorted stream (selectKeep); and
+// publish writes the kept cuboids as the base generation. Cells are
+// never hashed by group: roll-ups, base recomputes and the shard
+// coordinator's gather collect (key, state) pairs in arrival order and
+// Fold them — a stable sort, then each run of equal keys merged in
+// arrival order — so every float state has the bits of an arrival-order
+// fold.
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"x3/internal/cellfile"
@@ -32,7 +42,6 @@ import (
 	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/obs"
-	"x3/internal/views"
 	"x3/internal/wal"
 )
 
@@ -144,61 +153,52 @@ type Store struct {
 // Iceberg queries (HAVING >= n) are refused: their discarded cells make
 // both roll-up serving and maintenance unsound.
 func Build(path string, lat *lattice.Lattice, base *match.Set, opt Options) (*Store, error) {
-	res, props, measured, keep, decisions, err := computeCube(lat, base, opt)
+	s := newStore(path, lat, base, opt.Props, opt.Props == nil, opt)
+	sink, keep, err := s.computeCube(opt)
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(path, lat, base, props, measured, opt)
-	s.decisions = decisions
-	rdr, _, err := s.publish(path, emitResult(lat, res, keep))
-	if err != nil {
+	defer sink.Abort()
+	if s.rdr, _, err = s.publish(path, emitBase(lat, sink, keep)); err != nil {
 		return nil, err
 	}
-	s.rdr = rdr
 	return s, nil
 }
 
 // computeCube runs the initial cube computation shared by Build and
-// BuildDir: resolve the algorithm, certify or measure the
-// summarizability properties, compute the full cube, and pick the
-// materialized point set. Iceberg queries are refused here.
-func computeCube(lat *lattice.Lattice, base *match.Set, opt Options) (*cube.Result, cube.Props, bool, map[uint32]bool, []costmodel.Decision, error) {
-	if lat.Query.MinSupport > 1 {
-		return nil, nil, false, nil, nil, fmt.Errorf("serve: cannot serve an iceberg cube (HAVING >= %d)", lat.Query.MinSupport)
+// BuildDir: resolve the algorithm, measure the summarizability
+// properties unless they are certified, compute the full cube into a
+// sorted sink that spills its runs beside s.path, and pick the
+// materialized point set (selectKeep). The caller publishes the sink's
+// cells (emitBase) and then aborts it. Iceberg queries are refused here.
+func (s *Store) computeCube(opt Options) (*cellfile.IndexedSink, map[uint32]bool, error) {
+	if s.lat.Query.MinSupport > 1 {
+		return nil, nil, fmt.Errorf("serve: cannot serve an iceberg cube (HAVING >= %d)", s.lat.Query.MinSupport)
 	}
 	if opt.Algorithm == "" {
 		opt.Algorithm = "COUNTER"
 	}
 	alg, err := cube.ByName(opt.Algorithm)
 	if err != nil {
-		return nil, nil, false, nil, nil, err
+		return nil, nil, err
 	}
-	props := opt.Props
-	measured := false
-	if props == nil {
-		mp, err := cube.MeasureProps(lat, base)
-		if err != nil {
-			return nil, nil, false, nil, nil, err
+	if s.measured {
+		if s.props, err = cube.MeasureProps(s.lat, s.base); err != nil {
+			return nil, nil, err
 		}
-		props, measured = mp, true
 	}
-	res := cube.NewResult(lat, base.Dicts)
-	in := &cube.Input{Lattice: lat, Source: base, Dicts: base.Dicts, Props: props, Reg: opt.Registry}
-	if _, err := alg.Run(in, res); err != nil {
-		return nil, nil, false, nil, nil, err
+	sink := cellfile.CreateIndexed(s.path)
+	sink.BlockCells, sink.Fault = opt.BlockCells, opt.Fault
+	in := &cube.Input{Lattice: s.lat, Source: s.base, Dicts: s.base.Dicts, Props: s.props, Reg: opt.Registry}
+	var keep map[uint32]bool
+	if _, err = alg.Run(in, sink); err == nil {
+		keep, s.decisions, err = selectKeep(s.lat, s.props, sink, s.base.NumFacts(), opt)
 	}
-	if opt.SpaceBudget > 0 {
-		keep, decisions, err := selectBudget(lat, props, res, base.NumFacts(), opt, nil, 0)
-		if err != nil {
-			return nil, nil, false, nil, nil, err
-		}
-		return res, props, measured, keep, decisions, nil
-	}
-	keep, err := selectPoints(lat, props, res, base.NumFacts(), opt.Views)
 	if err != nil {
-		return nil, nil, false, nil, nil, err
+		sink.Abort()
+		return nil, nil, err
 	}
-	return res, props, measured, keep, nil, nil
+	return sink, keep, nil
 }
 
 // newStore assembles the Store fields common to every open path.
@@ -271,28 +271,26 @@ func (s *Store) publish(path string, emit func(*cellfile.Writer) error) (*cellfi
 	return rdr, cells, nil
 }
 
-// emitResult streams the kept cuboids of a computed cube into a
-// generation writer (the base generation Build and BuildDir publish):
-// points ascend by pid and Result.Keys are sorted, so the cells arrive in
-// file order.
-func emitResult(lat *lattice.Lattice, res *cube.Result, keep map[uint32]bool) func(*cellfile.Writer) error {
+// emitBase streams the kept cuboids of a computed cube, in the sink's
+// file order, into a generation writer (the base generation Build and
+// BuildDir publish). A cell the algorithm emitted twice fails the write.
+func emitBase(lat *lattice.Lattice, sink *cellfile.IndexedSink, keep map[uint32]bool) func(*cellfile.Writer) error {
 	return func(w *cellfile.Writer) error {
-		for _, p := range lat.Points() {
-			pid := lat.ID(p)
-			if !keep[pid] {
-				continue
+		var (
+			prev      []match.ValueID
+			prevPoint uint32
+			started   bool
+		)
+		return sink.Sorted(func(c *cellfile.Cell) error {
+			if started && c.Point == prevPoint && slices.Equal(c.Key, prev) {
+				return fmt.Errorf("serve: duplicate cell for cuboid %s key %v", lat.Label(lat.FromID(c.Point)), c.Key)
 			}
-			for _, key := range res.Keys(p) {
-				st, ok := res.State(p, key)
-				if !ok {
-					return fmt.Errorf("serve: cuboid %s lost cell %v", lat.Label(p), key)
-				}
-				if err := w.Cell(pid, key, st); err != nil {
-					return err
-				}
+			prevPoint, prev, started = c.Point, append(prev[:0], c.Key...), true
+			if !keep[c.Point] {
+				return nil
 			}
-		}
-		return nil
+			return w.Cell(c.Point, c.Key, c.State)
+		})
 	}
 }
 
@@ -314,39 +312,6 @@ func (s *Store) closeReaders() {
 	for _, d := range s.deltas {
 		s.bestEffort(d.Close())
 	}
-}
-
-// sortUint32 sorts pids ascending.
-func sortUint32(v []uint32) {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-}
-
-// selectPoints returns the set of cuboid ids to materialize: every point,
-// or the greedy top-k under the safety properties.
-func selectPoints(lat *lattice.Lattice, props cube.Props, res *cube.Result, baseRows, k int) (map[uint32]bool, error) {
-	keep := make(map[uint32]bool)
-	if k <= 0 || k >= lat.Size() {
-		for _, p := range lat.Points() {
-			keep[lat.ID(p)] = true
-		}
-		return keep, nil
-	}
-	sizes := make(map[uint32]int64, lat.Size())
-	for _, p := range lat.Points() {
-		sizes[lat.ID(p)] = int64(res.CuboidSize(p))
-	}
-	rows := int64(baseRows)
-	if rows < 1 {
-		rows = 1
-	}
-	sugg, err := views.Select(lat, props, sizes, rows, k)
-	if err != nil {
-		return nil, err
-	}
-	for _, sg := range sugg {
-		keep[lat.ID(sg.Point)] = true
-	}
-	return keep, nil
 }
 
 // Lattice returns the store's cuboid lattice.
@@ -471,41 +436,4 @@ func (s *Store) absorbProps(delta *match.Set) (cube.Props, error) {
 		return nil, err
 	}
 	return next, nil
-}
-
-// packKey encodes a group key as big-endian bytes; the planner uses
-// packed keys as group map keys.
-func packKey(dst []byte, vals []match.ValueID) []byte {
-	for _, v := range vals {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(v))
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
-// unpackKey decodes a key packed by packKey.
-func unpackKey(b []byte) []match.ValueID {
-	out := make([]match.ValueID, 0, len(b)/4)
-	for i := 0; i+4 <= len(b); i += 4 {
-		out = append(out, match.ValueID(binary.BigEndian.Uint32(b[i:])))
-	}
-	return out
-}
-
-// sortRows orders rows by key, value order.
-func sortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i].Key, rows[j].Key
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		for k := 0; k < n; k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -59,6 +60,15 @@ func cleanAxes(n int) []dataset.AxisConfig {
 		axes[i] = dataset.AxisConfig{Tag: fmt.Sprintf("w%d", i), Cardinality: 4, Relax: lnd}
 	}
 	return axes
+}
+
+// packKey appends a group key as big-endian bytes: snapshots compare keys
+// and states as one byte string.
+func packKey(dst []byte, vals []match.ValueID) []byte {
+	for _, v := range vals {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(v))
+	}
+	return dst
 }
 
 // assertCuboidMatchesOracle compares a full-cuboid answer with the oracle

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -15,14 +14,15 @@ import (
 )
 
 // ServeRequest scatter-gathers a query over every shard and re-aggregates
-// the partial cells. Each shard leg runs under its own deadline with
-// failover and hedging (queryShard); shards whose replicas are all
-// unreachable are reported in Response.Missing and the answer is marked
-// Partial — the rows are exact for the facts that answered, and the lost
-// key ranges are named instead of silently dropped. A request every
-// shard rejects as a bad request is returned as that error, and a
-// coordinator with zero answering shards returns an error rather than an
-// empty "answer".
+// the partial cells: the shards' rows, gathered in shard order, fold
+// through serve.Fold, so equal groups merge in shard order. Each shard
+// leg runs under its own deadline with failover and hedging
+// (queryShard); shards whose replicas are all unreachable are reported in
+// Response.Missing and the answer is marked Partial — the rows are exact
+// for the facts that answered, and the lost key ranges are named instead
+// of silently dropped. A request every shard rejects as a bad request is
+// returned as that error, and a coordinator with zero answering shards
+// returns an error rather than an empty "answer".
 func (c *Coordinator) ServeRequest(ctx context.Context, req serve.Request) (*serve.Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -52,7 +52,13 @@ func (c *Coordinator) ServeRequest(ctx context.Context, req serve.Request) (*ser
 		degraded bool
 		lastErr  error
 	)
-	groups := map[string]*mergedRow{}
+	n := 0
+	for i := range legs {
+		if legs[i].err == nil {
+			n += len(legs[i].ans.Rows)
+		}
+	}
+	rows := make([]serve.CellRow, 0, n) // every answering shard's rows, in shard order
 	for i := range legs {
 		if err := legs[i].err; err != nil {
 			// The client's fault fails the whole query — retrying another
@@ -81,30 +87,18 @@ func (c *Coordinator) ServeRequest(ctx context.Context, req serve.Request) (*ser
 			worst = a.Plan
 		}
 		degraded = degraded || a.Degraded
-		for _, r := range a.Rows {
-			k := strings.Join(r.Values, "\x1f")
-			if g, ok := groups[k]; ok {
-				g.state.Merge(r.State)
-			} else {
-				groups[k] = &mergedRow{values: r.Values, state: r.State}
-			}
-		}
+		rows = append(rows, a.Rows...)
 	}
 	if answered == nil {
 		return nil, fmt.Errorf("shard: all %d shards failed: %w", len(c.shards), lastErr)
 	}
 
-	rows := make([]serve.CellRow, 0, len(groups))
-	for _, g := range groups {
-		rows = append(rows, serve.CellRow{Values: g.values, State: g.state})
-	}
-	sort.Slice(rows, func(i, j int) bool { return lessValues(rows[i].Values, rows[j].Values) })
-
 	merged := &serve.CellAnswer{
 		Cuboid:   answered.Cuboid,
 		Plan:     worst,
 		Degraded: degraded,
-		Rows:     rows,
+		Rows: serve.Fold(rows, func(a, b serve.CellRow) int { return compareValues(a.Values, b.Values) },
+			func(r *serve.CellRow) *agg.State { return &r.State }),
 	}
 	resp := merged.Finalize(c.aggFn())
 	resp.Plan = "scatter+" + worst.String()
@@ -118,22 +112,17 @@ func (c *Coordinator) ServeRequest(ctx context.Context, req serve.Request) (*ser
 	return resp, nil
 }
 
-// mergedRow accumulates one group's state across shards.
-type mergedRow struct {
-	values []string
-	state  agg.State
-}
-
-// lessValues orders decoded group tuples lexicographically — the
+// compareValues orders decoded group tuples lexicographically — the
 // coordinator's canonical row order (per-shard ValueID order is an
-// interning accident and differs between stores).
-func lessValues(a, b []string) bool {
+// interning accident and differs between stores). One strings.Compare
+// per value: the gather's sort is dominated by these comparisons.
+func compareValues(a, b []string) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
 		}
 	}
-	return len(a) < len(b)
+	return len(a) - len(b)
 }
 
 // aggFn resolves the lattice aggregate. A fake-replica coordinator
