@@ -259,7 +259,7 @@ func TestBlockReadsAllocateNothingPerBlock(t *testing.T) {
 		read func(p uint32) error
 	}{
 		{"EachCuboidCtx", func(p uint32) error { return r.EachCuboidCtx(t.Context(), p, none) }},
-		{"Verified", func(p uint32) error { return drain(ctx, r.Cuboid(p, Verified), none) }},
+		{"Verified", func(p uint32) error { return drain(ctx, r.Cuboid(p, nil, Verified), none) }},
 	}
 	modes := []struct {
 		name  string

@@ -52,14 +52,6 @@ func sortCells(cells []Cell) {
 // errFinished refuses writes to a Writer whose footer is already written.
 var errFinished = errors.New("cellfile: write after Finish")
 
-// blockMetaW is one sparse-index entry as the Writer records it.
-type blockMetaW struct {
-	off        uint64
-	firstPoint uint32
-	cells      int
-	crc        uint32
-}
-
 // Writer encodes cells that arrive in file order as an indexed cell file
 // on an io.Writer, one block at a time: it holds at most one block of
 // cells plus the index and cuboid directory, which grow with the number
@@ -73,9 +65,9 @@ type Writer struct {
 	arena      []match.ValueID // the pending block's keys
 	buf        []byte          // encoded block scratch
 	off        uint64          // file offset of the next block
-	index      []blockMetaW
+	index      []blockMeta
 	dirPoints  []uint32
-	dirCells   []uint64
+	dirCells   []int64
 	cells      int64
 	lastPoint  uint32
 	lastKey    []match.ValueID
@@ -124,10 +116,17 @@ func (w *Writer) Cell(point uint32, key []match.ValueID, st agg.State) error {
 // encoded at once: the columnar sections need every cell of the block in
 // hand before any byte is final.
 func (w *Writer) writeBlock() error {
+	first := &w.block[0]
+	if n := len(w.index); n > 0 && compareCells(first.Point, first.Key, w.index[n-1].firstPoint, w.index[n-1].firstKey) == 0 {
+		// The index orders blocks by their first cells, strictly, and the
+		// reader refuses a file whose index does not.
+		w.err = fmt.Errorf("cellfile: cell %d%v fills block %d and starts the next", first.Point, first.Key, n-1)
+		return w.err
+	}
 	w.buf = appendColumnarBlock(w.buf[:0], w.block)
-	w.index = append(w.index, blockMetaW{
-		off: w.off, firstPoint: w.block[0].Point, cells: len(w.block),
-		crc: crc32.Checksum(w.buf, castagnoli),
+	w.index = append(w.index, blockMeta{
+		off: int64(w.off), firstPoint: first.Point, firstKey: slices.Clone(first.Key),
+		cells: len(w.block), crc: crc32.Checksum(w.buf, castagnoli),
 	})
 	if _, err := w.w.Write(w.buf); err != nil {
 		w.err = err
@@ -157,18 +156,7 @@ func (w *Writer) Finish() error {
 			return err
 		}
 	}
-	idx := putUvarint(nil, uint64(len(w.index)))
-	for _, b := range w.index {
-		idx = putUvarint(idx, b.off)
-		idx = putUvarint(idx, uint64(b.firstPoint))
-		idx = putUvarint(idx, uint64(b.cells))
-		idx = putUvarint(idx, uint64(b.crc))
-	}
-	idx = putUvarint(idx, uint64(len(w.dirPoints)))
-	for i, p := range w.dirPoints {
-		idx = putUvarint(idx, uint64(p))
-		idx = putUvarint(idx, w.dirCells[i])
-	}
+	idx := appendIndex(nil, w.index, w.dirPoints, w.dirCells)
 	var foot [footerLenCRC]byte
 	binary.BigEndian.PutUint64(foot[0:], uint64(w.cells))
 	binary.BigEndian.PutUint64(foot[8:], w.off)

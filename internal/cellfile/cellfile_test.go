@@ -290,6 +290,18 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 	if err := w.Cell(4, nil, s); err == nil {
 		t.Error("cell accepted after Finish")
 	}
+	// ...but not across a whole block: the index orders blocks by their
+	// first cells strictly, so a cell that fills a block and starts the
+	// next would write a file the reader refuses.
+	w = NewWriter(io.Discard, 2)
+	for i := 0; i < 3; i++ {
+		if err := w.Cell(3, []match.ValueID{1}, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err == nil {
+		t.Error("a cell repeated across a whole block was written")
+	}
 }
 
 // randomCells returns n distinct cells in random order.

@@ -1,4 +1,4 @@
-// The v4 columnar block encoding. Storing each cell as an independent
+// The columnar block encoding. Storing each cell as an independent
 // row record (uvarint point, uvarint key length, key ValueIDs, 32-byte
 // aggregate state — what the streaming v1 file does) burns ~37 bytes per
 // cell on data that is wildly redundant: within a block the point id
@@ -42,17 +42,21 @@ import (
 	"x3/internal/match"
 )
 
-// minRecordLenV4 is the smallest per-cell footprint a v4 block can claim:
+// minRecordLen is the smallest per-cell footprint a block can claim:
 // amortized, each cell costs at least one key/aggregate byte. It bounds
 // how many cells a block of known byte length can claim, which keeps
 // corrupt counts from forcing allocations.
-const minRecordLenV4 = 2
+const minRecordLen = 2
 
 // maxBlockKeyInts bounds the total decoded key length of one block
 // (cells × axes); real blocks hold DefaultBlockCells cells of a handful
 // of axes each, so anything past this is a corrupt header trying to force
 // a huge allocation.
 const maxBlockKeyInts = 1 << 20
+
+// maxKeyLen bounds one key's length, in a block's runs and in an index
+// entry's first key alike; no cuboid has anywhere near this many axes.
+const maxKeyLen = 1 << 16
 
 // Packed aggregate-state flags. MinV is always present; MaxV and Sum are
 // omitted entirely when derivable from MinV and N.
@@ -247,7 +251,7 @@ func decodePackedState(c *blockCursor, s *agg.State) error {
 	return nil
 }
 
-// appendColumnarBlock appends the v4 columnar encoding of cells to dst.
+// appendColumnarBlock appends the columnar encoding of cells to dst.
 // The cells must be in file order (sorted by point, then key, as
 // writeIndexed guarantees); runs additionally break on key-length changes
 // so arbitrary cell mixes still encode correctly. No map is ranged over
@@ -326,7 +330,7 @@ type blockRun struct {
 	klen int // key length shared by the run's cells
 }
 
-// blockDecoder decodes v4 blocks into memory it keeps: the read buffer,
+// blockDecoder decodes columnar blocks into memory it keeps: the read buffer,
 // cells, runs, dictionary and key arena of one block are reused by the
 // next, so a warm decoder allocates nothing per block. The cells decode
 // returns, keys included, are borrowed until the decoder's next decode.
@@ -350,7 +354,7 @@ func (d *blockDecoder) heap() int64 {
 	return int64(cap(d.cells))*cellBytes + int64(cap(d.arena))*valueBytes
 }
 
-// decode parses exactly count cells out of a v4 block, overwriting the
+// decode parses exactly count cells out of a columnar block, overwriting the
 // previous block's. Key slices are carved from the decoder's arena;
 // every slot of every returned cell is written, so nothing of an earlier
 // block survives into this one.
@@ -404,7 +408,7 @@ func (d *blockDecoder) decode(buf []byte, count int) ([]Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("run at cell %d: %w", covered, err)
 		}
-		if klen > 1<<16 {
+		if klen > maxKeyLen {
 			return nil, fmt.Errorf("run at cell %d: implausible key length %d", covered, klen)
 		}
 		totalKeys += int(runLen) * int(klen)

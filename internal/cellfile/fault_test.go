@@ -2,9 +2,12 @@ package cellfile
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,27 +43,28 @@ func writeSmallIndexed(t *testing.T, inj *fault.Injector) (string, []Cell) {
 	return path, cells
 }
 
-func TestDefaultWriterEmitsV4(t *testing.T) {
+func TestDefaultWriterEmitsV5(t *testing.T) {
 	path, _ := writeSmallIndexed(t, nil)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[4] != 4 {
-		t.Fatalf("default writer produced version %d, want 4", data[4])
+	if data[4] != 5 {
+		t.Fatalf("default writer produced version %d, want 5", data[4])
 	}
 }
 
-// TestOldIndexedVersionsRejected: the v1 stream and the row-wise v2 and
-// v3 indexed formats have no writer any more, and a header that claims
-// one of them is refused as corrupt rather than mis-decoded.
+// TestOldIndexedVersionsRejected: the v1 stream, the row-wise v2 and v3
+// indexed formats and v4, whose index held no first keys, have no writer
+// any more, and a header that claims one of them is refused as corrupt
+// rather than mis-decoded.
 func TestOldIndexedVersionsRejected(t *testing.T) {
 	path, _ := writeSmallIndexed(t, nil)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []byte{1, 2, 3} {
+	for _, ver := range []byte{1, 2, 3, 4} {
 		data[4] = ver
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -72,6 +76,109 @@ func TestOldIndexedVersionsRejected(t *testing.T) {
 			t.Fatalf("OpenIndexed of a version-%d header returned %v; want wrapped ErrCorrupt", ver, err)
 		}
 	}
+}
+
+// rewriteIndex returns data, an indexed file r was opened on, with its
+// index rewritten from r's entries after mutate changed them, and the
+// index checksum re-sealed: a file whose index lies consistently.
+func rewriteIndex(data []byte, r *IndexedReader, mutate func([]blockMeta)) []byte {
+	blocks := slices.Clone(r.blocks)
+	for i := range blocks {
+		blocks[i].firstKey = slices.Clone(blocks[i].firstKey)
+	}
+	mutate(blocks)
+	foot := slices.Clone(data[len(data)-footerLenCRC:])
+	indexOff := binary.BigEndian.Uint64(foot[8:])
+	idx := appendIndex(nil, blocks, r.points, r.pointCells)
+	binary.BigEndian.PutUint32(foot[16:], crc32.Checksum(idx, castagnoli))
+	out := append(slices.Clone(data[:indexOff]), idx...)
+	return append(out, foot...)
+}
+
+// TestCorruptIndexFirstKeyRefused rewrites one block's indexed first
+// cell at a time — to a later cell of the same block, to the previous
+// block's last cell, to its own key with the last value bumped or cut
+// off — and re-seals the index checksum. Open refuses every lie that
+// breaks the entries' order; every other lie is refused by the reads of
+// its block. No prefix read of any cuboid, whatever blocks it reads, may
+// come back with cells missing: it returns the truth or fails with
+// ErrCorrupt.
+func TestCorruptIndexFirstKeyRefused(t *testing.T) {
+	path, _ := buildIndexed(t, 3, 300, 9)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenIndexed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	all := collect(t, r.All(Verified))
+	lied := filepath.Join(t.TempDir(), "lied.x3ci")
+	var refusedOpen, refusedReads, exactReads int
+	at := 0 // index into all of block bi's first cell
+	for bi := range r.blocks {
+		b := r.blocks[bi]
+		first := all[at]
+		var lies []Cell
+		if b.cells > 1 {
+			lies = append(lies, all[at+1])
+		}
+		if at > 0 {
+			lies = append(lies, all[at-1])
+		}
+		if n := len(first.Key); n > 0 {
+			bumped := slices.Clone(first.Key)
+			bumped[n-1]++
+			lies = append(lies, Cell{Point: first.Point, Key: bumped}, Cell{Point: first.Point, Key: first.Key[:n-1]})
+		}
+		at += b.cells
+		for _, lie := range lies {
+			bad := rewriteIndex(data, r, func(blocks []blockMeta) {
+				blocks[bi].firstPoint, blocks[bi].firstKey = lie.Point, lie.Key
+			})
+			if err := os.WriteFile(lied, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lr, err := OpenIndexed(lied)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("block %d first cell %d%v: open failed without ErrCorrupt: %v", bi, lie.Point, lie.Key, err)
+				}
+				refusedOpen++
+				continue
+			}
+			if err := drain(nil, lr.All(Verified), func(Cell) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("block %d first cell %d%v: a whole-file read returned %v; want ErrCorrupt", bi, lie.Point, lie.Key, err)
+			}
+			for _, p := range lr.Points() {
+				for _, prefix := range append(prefixesOf(all, p), nil) {
+					var got []Cell
+					err := drain(nil, lr.Cuboid(p, prefix, Verified), func(c Cell) error {
+						got = append(got, cloneCell(c))
+						return nil
+					})
+					switch {
+					case errors.Is(err, ErrCorrupt):
+						refusedReads++
+					case err != nil:
+						t.Fatalf("block %d lie, cuboid %d prefix %v: %v", bi, p, prefix, err)
+					case !sameCells(got, filterPrefix(all, p, prefix)):
+						t.Fatalf("block %d first cell %d%v: cuboid %d prefix %v read %d cells, the file holds %d",
+							bi, lie.Point, lie.Key, p, prefix, len(got), len(filterPrefix(all, p, prefix)))
+					default:
+						exactReads++
+					}
+				}
+			}
+			lr.Close()
+		}
+	}
+	if refusedOpen == 0 || refusedReads == 0 {
+		t.Fatalf("%d lies refused at open, %d reads refused: the sweep does not reach both checks", refusedOpen, refusedReads)
+	}
+	t.Logf("%d lies refused at open; over the rest, %d reads refused and %d exact", refusedOpen, refusedReads, exactReads)
 }
 
 // TestChecksumCatchesBitFlip flips a single data bit of a file on disk
@@ -186,7 +293,7 @@ func TestEachCuboidCtxCancellation(t *testing.T) {
 		t.Fatalf("cancelled EachCuboidCtx returned %v; want it to also wrap context.Canceled", err)
 	}
 	// A verified read honours the same contract.
-	err = drain(ctx, r.Cuboid(0, Verified), func(Cell) error { return nil })
+	err = drain(ctx, r.Cuboid(0, nil, Verified), func(Cell) error { return nil })
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("cancelled verified read returned %v; want wrapped ErrCancelled", err)
 	}
@@ -209,7 +316,7 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 		if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error { fast = append(fast, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := drain(ctx, r.Cuboid(p, Verified), func(c Cell) error { slow = append(slow, cloneCell(c)); return nil }); err != nil {
+		if err := drain(ctx, r.Cuboid(p, nil, Verified), func(c Cell) error { slow = append(slow, cloneCell(c)); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if len(fast) != len(slow) {
@@ -227,7 +334,7 @@ func TestScanCuboidMatchesIndexedPath(t *testing.T) {
 		}
 	}
 	// Unmaterialized cuboids stream nothing from the scan path too.
-	if err := drain(ctx, r.Cuboid(99999, Verified), func(Cell) error {
+	if err := drain(ctx, r.Cuboid(99999, nil, Verified), func(Cell) error {
 		t.Fatal("phantom cell from scan")
 		return nil
 	}); err != nil {
@@ -255,7 +362,7 @@ func TestScanCuboidBypassesCache(t *testing.T) {
 	if err := r.EachCuboidCtx(t.Context(), 0, func(Cell) error { viaCache++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := drain(context.Background(), r.Cuboid(0, Verified), func(Cell) error { viaScan++; return nil }); err != nil {
+	if err := drain(context.Background(), r.Cuboid(0, nil, Verified), func(Cell) error { viaScan++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if viaCache != 0 {

@@ -2,24 +2,39 @@ package cellfile
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"x3/internal/agg"
 	"x3/internal/match"
 )
 
-// fuzzSeedIndexed builds a small valid indexed cell file in memory.
-func fuzzSeedIndexed(tb testing.TB) []byte {
+// strictlySorted reports whether cells are in strictly increasing file
+// order.
+func strictlySorted(cells []Cell) bool {
+	for i := 1; i < len(cells); i++ {
+		if compareCells(cells[i-1].Point, cells[i-1].Key, cells[i].Point, cells[i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzSeedIndexed builds a small valid indexed cell file of 4-cell
+// blocks and returns its bytes and path.
+func fuzzSeedIndexed(tb testing.TB) ([]byte, string) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "seed.x3ci")
 	sink := CreateIndexed(path)
+	sink.BlockCells = 4
 	var s agg.State
 	s.Add(3)
 	for p := uint32(0); p < 6; p++ {
 		for k := 0; k < 5; k++ {
-			if err := sink.Cell(p, []match.ValueID{match.ValueID(k)}, s); err != nil {
+			if err := sink.Cell(p, []match.ValueID{match.ValueID(k / 2), match.ValueID(k)}, s); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -31,18 +46,21 @@ func fuzzSeedIndexed(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return data
+	return data, path
 }
 
 // FuzzCellfile throws arbitrary bytes at the indexed reader — open,
-// sequential scan and random access — which must reject corrupt input
-// with an error, never panic, and never trust an attacker-chosen count or
-// offset enough to allocate unboundedly. The seeds cover valid files plus
-// the historically dangerous shapes: truncation, forged footers, data
-// after the footer, oversized uvarints, and headers claiming the retired
-// v1 stream or v2/v3 indexed versions.
+// sequential scan, random access and prefix seeks — which must reject
+// corrupt input with an error, never panic, and never trust an
+// attacker-chosen count or offset enough to allocate unboundedly. The
+// seeds cover valid files plus the historically dangerous shapes:
+// truncation, forged footers, data after the footer, oversized uvarints,
+// headers claiming the retired v1 stream or v2/v3/v4 indexed versions,
+// and index entries whose first key is out of order or implausibly long.
+// For every input that opens, a prefix read of each cuboid that succeeds
+// equals that cuboid's whole read filtered by the prefix.
 func FuzzCellfile(f *testing.F) {
-	v4 := fuzzSeedIndexed(f)
+	v5, v5Path := fuzzSeedIndexed(f)
 	emptyPath := filepath.Join(f.TempDir(), "empty.x3ci")
 	if err := CreateIndexed(emptyPath).Close(); err != nil {
 		f.Fatal(err)
@@ -57,14 +75,15 @@ func FuzzCellfile(f *testing.F) {
 		return out
 	}
 	f.Add(empty)
-	f.Add(withByte(v4, 4, func(byte) byte { return 2 })) // retired version 2 header
-	f.Add(withByte(v4, 4, func(byte) byte { return 3 })) // retired version 3 header
-	f.Add(v4)
-	f.Add(v4[:len(v4)-3])                      // footer cut mid-magic
-	f.Add(v4[:len(v4)-1])                      // footer magic cut short
-	f.Add(v4[:len(v4)-footerLenCRC])           // footer gone entirely
-	f.Add(v4[:len(v4)/2])                      // truncated mid-file
-	f.Add(append([]byte{}, v4[:headerLen]...)) // header only
+	f.Add(withByte(v5, 4, func(byte) byte { return 2 })) // retired version 2 header
+	f.Add(withByte(v5, 4, func(byte) byte { return 3 })) // retired version 3 header
+	f.Add(withByte(v5, 4, func(byte) byte { return 4 })) // retired version 4 header
+	f.Add(v5)
+	f.Add(v5[:len(v5)-3])                      // footer cut mid-magic
+	f.Add(v5[:len(v5)-1])                      // footer magic cut short
+	f.Add(v5[:len(v5)-footerLenCRC])           // footer gone entirely
+	f.Add(v5[:len(v5)/2])                      // truncated mid-file
+	f.Add(append([]byte{}, v5[:headerLen]...)) // header only
 	// A retired v1 stream header followed by a corrupt record marker.
 	f.Add([]byte{'X', '3', 'C', 'F', 1, 0x7E})
 	// A v1 header with an oversized uvarint where its key length was.
@@ -72,37 +91,57 @@ func FuzzCellfile(f *testing.F) {
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(huge)
 	// A footer claiming a gigantic cell count over a tiny file.
-	lying := append([]byte{}, v4...)
+	lying := append([]byte{}, v5...)
 	binary.BigEndian.PutUint64(lying[len(lying)-footerLenCRC:], 1<<50)
 	f.Add(lying)
 	// An index offset pointing past EOF.
-	past := append([]byte{}, v4...)
+	past := append([]byte{}, v5...)
 	binary.BigEndian.PutUint64(past[len(past)-footerLenCRC+8:], 1<<40)
 	f.Add(past)
 	// A flipped data bit (the per-block CRC's job).
-	f.Add(withByte(v4, headerLen+3, func(b byte) byte { return b ^ 0x10 }))
+	f.Add(withByte(v5, headerLen+3, func(b byte) byte { return b ^ 0x10 }))
 	// Damaged index bytes (the index CRC's job).
-	f.Add(withByte(v4, len(v4)-footerLenCRC-2, func(b byte) byte { return b ^ 0x01 }))
+	f.Add(withByte(v5, len(v5)-footerLenCRC-2, func(b byte) byte { return b ^ 0x01 }))
 	// A footer with a lying index checksum.
-	badCRC := append([]byte{}, v4...)
+	badCRC := append([]byte{}, v5...)
 	binary.BigEndian.PutUint32(badCRC[len(badCRC)-footerLenCRC+16:], 0xDEADBEEF)
 	f.Add(badCRC)
 	// Data after the footer: a second copy of the body appended.
-	f.Add(append(append([]byte{}, v4...), v4[headerLen:]...))
+	f.Add(append(append([]byte{}, v5...), v5[headerLen:]...))
 	// Columnar shapes: a corrupt value dictionary / run header (any early
 	// data byte participates in the varint streams), a truncated column
 	// tail, an all-continuation-bits varint run, and a damaged block count
 	// over valid columns.
-	f.Add(withByte(v4, headerLen+1, func(b byte) byte { return b ^ 0xFF }))
-	f.Add(v4[:headerLen+3]) // truncated mid-column
-	badRun := append([]byte{}, v4...)
+	f.Add(withByte(v5, headerLen+1, func(b byte) byte { return b ^ 0xFF }))
+	f.Add(v5[:headerLen+3]) // truncated mid-column
+	badRun := append([]byte{}, v5...)
 	for i := headerLen; i < headerLen+8 && i < len(badRun); i++ {
 		badRun[i] = 0x80 // uvarint that never terminates
 	}
 	f.Add(badRun)
-	indexOff := int(binary.BigEndian.Uint64(v4[len(v4)-footerLenCRC+8:]))
-	f.Add(withByte(v4, indexOff, func(b byte) byte { return b ^ 0x01 }))
-	f.Add(v4[:len(v4)-footerLenCRC+4]) // truncated footer
+	indexOff := int(binary.BigEndian.Uint64(v5[len(v5)-footerLenCRC+8:]))
+	f.Add(withByte(v5, indexOff, func(b byte) byte { return b ^ 0x01 }))
+	f.Add(v5[:len(v5)-footerLenCRC+4]) // truncated footer
+	// Consistent index lies, checksum re-sealed: a block whose first cell
+	// repeats its predecessor's (out of order), a first key that claims
+	// more values than the maximum key length, and a first key that sorts
+	// in order but is not its block's (refused by the block's read).
+	r, err := OpenIndexed(v5Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer r.Close()
+	f.Add(rewriteIndex(v5, r, func(b []blockMeta) { b[1].firstPoint, b[1].firstKey = b[0].firstPoint, b[0].firstKey }))
+	at := indexOff
+	for range 5 { // block count, then block 0's offset, point, cells and CRC
+		_, n := binary.Uvarint(v5[at:])
+		at += n
+	}
+	long := binary.AppendUvarint(slices.Clone(v5[:at]), maxKeyLen+1)
+	long = append(long, v5[at+1:]...)
+	binary.BigEndian.PutUint32(long[len(long)-footerLenCRC+16:], crc32.Checksum(long[indexOff:len(long)-footerLenCRC], castagnoli))
+	f.Add(long)
+	f.Add(rewriteIndex(v5, r, func(b []blockMeta) { b[1].firstKey = []match.ValueID{b[1].firstKey[0] + 1} }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.x3cf")
@@ -123,7 +162,23 @@ func FuzzCellfile(f *testing.F) {
 			return nil
 		})
 		for _, p := range r.Points() {
-			_ = r.EachCuboidCtx(t.Context(), p, func(Cell) error { return nil })
+			var whole []Cell
+			if err := r.EachCuboidCtx(t.Context(), p, func(c Cell) error {
+				whole = append(whole, cloneCell(c))
+				return nil
+			}); err != nil || !strictlySorted(whole) {
+				continue
+			}
+			for _, prefix := range prefixesOf(whole, p) {
+				var got []Cell
+				if err := drain(t.Context(), r.Cuboid(p, prefix, Indexed), func(c Cell) error {
+					got = append(got, cloneCell(c))
+					return nil
+				}); err == nil && !sameCells(got, filterPrefix(whole, p, prefix)) {
+					t.Fatalf("cuboid %d prefix %v: read %d cells, the whole read filtered holds %d",
+						p, prefix, len(got), len(filterPrefix(whole, p, prefix)))
+				}
+			}
 		}
 		_ = r.EachCuboidCtx(t.Context(), 1<<31, func(Cell) error { return nil })
 	})

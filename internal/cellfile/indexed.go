@@ -1,23 +1,27 @@
-// The indexed cell-file format (v4), the package's one format. The cells
+// The indexed cell-file format (v5), the package's one format. The cells
 // are laid out sorted by (point id, key) with a sparse block index plus a
 // per-cuboid directory appended, so a serving layer can answer "give me
-// cuboid P" with one binary search, one seek and a bounded scan instead of
-// a full-file pass. Every data block carries a CRC32-C checksum in its
-// index entry and the index section itself is checksummed in the footer,
-// so a corrupted read is *detected* — and retried, and ultimately refused
-// — instead of served as silently wrong cells. Blocks are stored
-// column-wise (see columnar.go). Version 1 was an unindexed row stream and
-// versions 2 and 3 row-wise predecessors of this container; no writer
-// emits them any more and the reader rejects them as corrupt.
+// cuboid P" — or "the cells of cuboid P whose keys start with K" — with
+// one binary search, one seek and a bounded scan instead of a full-file
+// pass. Every data block carries a CRC32-C checksum in its index entry
+// and the index section itself is checksummed in the footer, so a
+// corrupted read is *detected* — and retried, and ultimately refused —
+// instead of served as silently wrong cells. Blocks are stored
+// column-wise (see columnar.go). Version 1 was an unindexed row stream,
+// versions 2 and 3 row-wise predecessors of this container, and version 4
+// this container without first keys in its index; no writer emits them
+// any more and the reader rejects them as corrupt.
 //
 // Layout:
 //
-//	magic "X3CF", version byte (4)
+//	magic "X3CF", version byte (5)
 //	data section, sorted by (point, key): columnar blocks (see columnar.go)
 //	index section (at the footer's index offset):
 //	    uvarint block count
 //	    per block: uvarint absolute offset, uvarint first point,
-//	               uvarint cell count, uvarint CRC32-C
+//	               uvarint cell count, uvarint CRC32-C,
+//	               uvarint first key length, then the first key's
+//	               values, one uvarint each
 //	    uvarint cuboid count
 //	    per cuboid: uvarint point, uvarint cell count
 //	footer: big-endian uint64 total cell count,
@@ -26,7 +30,13 @@
 //	    magic "X3IX"
 //
 // Block cell counts come from the index, and the fixed footer makes
-// truncation detection positional rather than sentinel-based.
+// truncation detection positional rather than sentinel-based. Each
+// block's (first point, first key) is its first cell, so the entries are
+// strictly increasing and a prefix read binary-searches them for the one
+// block its range starts in (see Cursor). Open refuses an index whose
+// entries are not strictly increasing, and every block read compares the
+// decoded first cell with its entry, so a lying entry fails as ErrCorrupt
+// instead of steering a read past cells.
 package cellfile
 
 import (
@@ -38,17 +48,19 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"x3/internal/fault"
+	"x3/internal/match"
 	"x3/internal/obs"
 )
 
 // indexedVersionCol is the one indexed format: checksummed container,
-// columnar compressed blocks.
-const indexedVersionCol = 4
+// columnar compressed blocks, first keys in the index.
+const indexedVersionCol = 5
 
 // footerLenCRC is the fixed byte length of the footer.
 const footerLenCRC = 24
@@ -79,13 +91,37 @@ func putUvarint(dst []byte, v uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
-// blockMeta is one sparse-index entry of an open reader.
+// blockMeta is one sparse-index entry, as a Writer records it and a
+// reader loads it.
 type blockMeta struct {
-	off        int64  // absolute file offset of the block's first record
-	length     int64  // byte length of the block
-	firstPoint uint32 // point id of the block's first cell
-	cells      int    // number of cells in the block
-	crc        uint32 // CRC32-C of the block bytes
+	off        int64           // absolute file offset of the block's first record
+	length     int64           // byte length of the block (reader only)
+	firstPoint uint32          // point id of the block's first cell
+	firstKey   []match.ValueID // key of the block's first cell
+	cells      int             // number of cells in the block
+	crc        uint32          // CRC32-C of the block bytes
+}
+
+// appendIndex appends the index section describing blocks and the
+// cuboid directory — points, holding cells[i] cells each — to dst.
+func appendIndex(dst []byte, blocks []blockMeta, points []uint32, cells []int64) []byte {
+	dst = putUvarint(dst, uint64(len(blocks)))
+	for _, b := range blocks {
+		dst = putUvarint(dst, uint64(b.off))
+		dst = putUvarint(dst, uint64(b.firstPoint))
+		dst = putUvarint(dst, uint64(b.cells))
+		dst = putUvarint(dst, uint64(b.crc))
+		dst = putUvarint(dst, uint64(len(b.firstKey)))
+		for _, v := range b.firstKey {
+			dst = putUvarint(dst, uint64(v))
+		}
+	}
+	dst = putUvarint(dst, uint64(len(points)))
+	for i, p := range points {
+		dst = putUvarint(dst, uint64(p))
+		dst = putUvarint(dst, uint64(cells[i]))
+	}
+	return dst
 }
 
 // ReadOptions tune an IndexedReader's fault tolerance.
@@ -216,7 +252,7 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 		gen:     nextReaderGen(),
 	}
 	const footLen = int64(footerLenCRC)
-	const minRec = uint64(minRecordLenV4)
+	const minRec = uint64(minRecordLen)
 	if size < headerLen+footLen {
 		return nil, fmt.Errorf("%w: %s: too short for an indexed cell file", ErrTruncated, path)
 	}
@@ -240,7 +276,7 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 	totalCells := binary.BigEndian.Uint64(foot[0:])
 	indexOff := binary.BigEndian.Uint64(foot[8:])
 	indexCRC := binary.BigEndian.Uint32(foot[16:])
-	if indexOff < headerLen || int64(indexOff) > size-footLen {
+	if indexOff < headerLen || indexOff > uint64(size-footLen) {
 		return nil, fmt.Errorf("%w: %s: index offset %d out of range", ErrCorrupt, path, indexOff)
 	}
 	if totalCells > uint64(indexOff-headerLen)/minRec {
@@ -259,13 +295,16 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: corrupt index: %w", ErrCorrupt, path, err)
 	}
-	// Each block entry takes at least 3 bytes; a larger claim cannot
+	// Each block entry takes at least 5 bytes; a larger claim cannot
 	// parse, so reject it before looping.
-	if numBlocks > uint64(len(idx))/3+1 {
+	if numBlocks > uint64(len(idx))/5+1 {
 		return nil, fmt.Errorf("%w: %s: index claims %d blocks in %d bytes", ErrCorrupt, path, numBlocks, len(idx))
 	}
 	r.cells = int64(totalCells)
-	var sum int64
+	var (
+		sum  int64
+		keys []match.ValueID // the blocks' first keys, back to back
+	)
 	for i := uint64(0); i < numBlocks; i++ {
 		off, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -283,8 +322,37 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
 		}
+		klen, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
+		}
+		// Each key value takes at least a byte, and no block decodes a key
+		// longer than maxKeyLen.
+		if klen > maxKeyLen || klen > uint64(br.Len()) {
+			return nil, fmt.Errorf("%w: %s: block %d first key claims %d values in %d bytes", ErrCorrupt, path, i, klen, br.Len())
+		}
+		start := len(keys)
+		for k := uint64(0); k < klen; k++ {
+			v, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %s: corrupt block entry %d: %w", ErrCorrupt, path, i, err)
+			}
+			if v > 1<<32-1 {
+				return nil, fmt.Errorf("%w: %s: block %d first key value %d overflows", ErrCorrupt, path, i, v)
+			}
+			keys = append(keys, match.ValueID(v))
+		}
+		// A later append may move keys; the entries sliced so far keep the
+		// old backing array, whose values never change.
+		key := keys[start:len(keys):len(keys)]
 		if crc > 1<<32-1 {
 			return nil, fmt.Errorf("%w: %s: block %d checksum %d overflows", ErrCorrupt, path, i, crc)
+		}
+		if firstPoint > 1<<32-1 {
+			return nil, fmt.Errorf("%w: %s: block %d first point %d overflows", ErrCorrupt, path, i, firstPoint)
+		}
+		if cells == 0 {
+			return nil, fmt.Errorf("%w: %s: block %d holds no cells", ErrCorrupt, path, i)
 		}
 		if off < headerLen || off >= indexOff {
 			return nil, fmt.Errorf("%w: %s: block %d offset %d outside data section", ErrCorrupt, path, i, off)
@@ -294,18 +362,16 @@ func loadIndex(f *os.File, path string, opt ReadOptions) (*IndexedReader, error)
 			if int64(off) <= prev.off {
 				return nil, fmt.Errorf("%w: %s: block offsets not increasing", ErrCorrupt, path)
 			}
-			if firstPoint < uint64(prev.firstPoint) {
-				return nil, fmt.Errorf("%w: %s: block first points not sorted", ErrCorrupt, path)
+			if compareCells(uint32(firstPoint), key, prev.firstPoint, prev.firstKey) <= 0 {
+				return nil, fmt.Errorf("%w: %s: block %d first cell %d%v does not follow block %d's %d%v",
+					ErrCorrupt, path, i, firstPoint, key, n-1, prev.firstPoint, prev.firstKey)
 			}
 			prev.length = int64(off) - prev.off
 			if uint64(prev.cells) > uint64(prev.length)/minRec+1 {
 				return nil, fmt.Errorf("%w: %s: block %d claims %d cells in %d bytes", ErrCorrupt, path, n-1, prev.cells, prev.length)
 			}
 		}
-		if firstPoint > 1<<32-1 {
-			return nil, fmt.Errorf("%w: %s: block %d first point %d overflows", ErrCorrupt, path, i, firstPoint)
-		}
-		r.blocks = append(r.blocks, blockMeta{off: int64(off), firstPoint: uint32(firstPoint), cells: int(cells), crc: uint32(crc)})
+		r.blocks = append(r.blocks, blockMeta{off: int64(off), firstPoint: uint32(firstPoint), firstKey: key, cells: int(cells), crc: uint32(crc)})
 		sum += int64(cells)
 	}
 	if n := len(r.blocks); n > 0 {
@@ -456,9 +522,10 @@ func (r *IndexedReader) readBlock(d *blockDecoder, bi int, mode ReadMode, keep b
 }
 
 // readBlockFresh reads, checksums and decodes block bi straight from the
-// file into d, bypassing the cache, with the reader's retry budget. A
-// checksum or decode failure is retried like a read error: a transiently
-// corrupted read re-rolls on the next attempt.
+// file into d, bypassing the cache, with the reader's retry budget, and
+// checks the decoded first cell against the block's index entry. A
+// checksum, decode or first-cell failure is retried like a read error: a
+// transiently corrupted read re-rolls on the next attempt.
 func (r *IndexedReader) readBlockFresh(d *blockDecoder, bi int) ([]Cell, error) {
 	b := &r.blocks[bi]
 	if int64(cap(d.buf)) < b.length {
@@ -479,6 +546,10 @@ func (r *IndexedReader) readBlockFresh(d *blockDecoder, bi int) ([]Cell, error) 
 		var err error
 		if cells, err = d.decode(buf, b.cells); err != nil {
 			return fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, r.path, bi, err)
+		}
+		if first := &cells[0]; first.Point != b.firstPoint || !slices.Equal(first.Key, b.firstKey) {
+			return fmt.Errorf("%w: %s: block %d starts at %d%v, index says %d%v",
+				ErrCorrupt, r.path, bi, first.Point, first.Key, b.firstPoint, b.firstKey)
 		}
 		return nil
 	})
@@ -504,7 +575,7 @@ func ctxErr(ctx context.Context) error {
 // larger than the whole cache budget is looked up in the cache but not
 // inserted into it. The cell passed to fn is borrowed until fn returns.
 func (r *IndexedReader) EachCuboidCtx(ctx context.Context, point uint32, fn func(Cell) error) error {
-	return drain(ctx, r.Cuboid(point, Indexed), fn)
+	return drain(ctx, r.Cuboid(point, nil, Indexed), fn)
 }
 
 // Each streams every cell of the file, in (point, key) order, through an

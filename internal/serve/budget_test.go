@@ -23,7 +23,7 @@ import (
 func fullStoreBytes(t *testing.T, ds diffServeDataset, seed int64) int64 {
 	t.Helper()
 	lat, set := ds.build(t, seed)
-	s, err := Build(filepath.Join(t.TempDir(), "full.x3cf"), lat, set, Options{BlockCells: 16})
+	s, err := Build(filepath.Join(t.TempDir(), "full.x3cf"), lat, set, Options{BlockCells: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDifferentialSpaceBudget(t *testing.T) {
 						lat, set := ds.build(t, seed)
 						reg := obs.New()
 						s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set,
-							Options{Registry: reg, SpaceBudget: budget, BlockCells: 16})
+							Options{Registry: reg, SpaceBudget: budget, BlockCells: 7})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -85,6 +85,7 @@ func TestDifferentialSpaceBudget(t *testing.T) {
 						}
 						for _, p := range lat.Points() {
 							plans[assertCuboidMatchesOracle(t, s, oracle, p)]++
+							assertPinnedMatchOracle(t, s, oracle, p)
 						}
 					})
 				}

@@ -114,12 +114,14 @@ func (o *ladderOracle) result(tb testing.TB) *cube.Result {
 	return res
 }
 
-// sweepLadder asserts every cuboid of the lattice against the oracle and
-// returns the plan mix.
+// sweepLadder asserts every cuboid of the lattice, whole and under its
+// pinned queries, against the oracle and adds the whole answers' plans
+// to plans.
 func sweepLadder(tb testing.TB, s *Store, oracle *cube.Result, plans map[PlanKind]int) {
 	tb.Helper()
 	for _, p := range s.lat.Points() {
 		plans[assertCuboidMatchesOracle(tb, s, oracle, p)]++
+		assertPinnedMatchOracle(tb, s, oracle, p)
 	}
 }
 
@@ -139,7 +141,7 @@ func TestDifferentialDeltaLadder(t *testing.T) {
 
 					dir := t.TempDir()
 					reg := obs.New()
-					opt := Options{Registry: reg, Views: ds.views, BlockCells: 16, FlushCells: -1, CompactAfter: -1}
+					opt := Options{Registry: reg, Views: ds.views, BlockCells: 7, FlushCells: -1, CompactAfter: -1}
 					s, err := BuildDir(dir, lat, baseSet, opt)
 					if err != nil {
 						t.Fatal(err)

@@ -18,7 +18,10 @@ import (
 // all three plans (direct reads, safe roll-ups from a materialized
 // ancestor, and the unsafe-rollup fallback to base facts on
 // property-violating data) — and each answer must be byte-equal to
-// recomputing that cuboid from the base facts with the oracle.
+// recomputing that cuboid from the base facts with the oracle. Each
+// cuboid is answered whole and under the pinned queries of
+// pinnedQueries, over 7-cell blocks so that runs of matching cells
+// straddle block boundaries.
 
 // diffServeDataset is one workload family of the sweep.
 type diffServeDataset struct {
@@ -62,6 +65,7 @@ func diffServeDatasets() []diffServeDataset {
 
 func TestDifferentialServing(t *testing.T) {
 	const seeds = 10
+	leadingRollups := 0
 	for _, ds := range diffServeDatasets() {
 		t.Run(ds.name, func(t *testing.T) {
 			plans := map[PlanKind]int{}
@@ -70,7 +74,7 @@ func TestDifferentialServing(t *testing.T) {
 					lat, set := ds.build(t, seed)
 					reg := obs.New()
 					s, err := Build(filepath.Join(t.TempDir(), "cube.x3cf"), lat, set,
-						Options{Registry: reg, Views: ds.views, BlockCells: 16})
+						Options{Registry: reg, Views: ds.views, BlockCells: 7})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -92,6 +96,9 @@ func TestDifferentialServing(t *testing.T) {
 							t.Errorf("average query scanned %d of %d cells", perQuery, total)
 						}
 					}
+					for _, p := range lat.Points() {
+						leadingRollups += assertPinnedMatchOracle(t, s, oracle, p)
+					}
 				})
 			}
 			t.Logf("%s plan mix over %d seeds: %d direct, %d rollup, %d base",
@@ -101,5 +108,8 @@ func TestDifferentialServing(t *testing.T) {
 				t.Errorf("plan mix degenerate: %v — the sweep no longer covers all three serving paths", plans)
 			}
 		})
+	}
+	if leadingRollups == 0 {
+		t.Error("no pinned roll-up read its finer cuboid by a leading pin — the sweep does not reach a roll-up's seek")
 	}
 }

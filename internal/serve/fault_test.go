@@ -13,7 +13,6 @@ import (
 	"x3/internal/cube"
 	"x3/internal/dataset"
 	"x3/internal/fault"
-	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/obs"
 )
@@ -56,19 +55,19 @@ func answerSnapshot(tb testing.TB, s *Store) map[string]string {
 func TestDifferentialFaultServing(t *testing.T) {
 	for _, ds := range diffServeDatasets() {
 		t.Run(ds.name, func(t *testing.T) {
-			faultServingSweep(t, ds, fault.Config{CorruptEvery: 7, ShortEvery: 9}, 16, 8)
+			faultServingSweep(t, ds, fault.Config{CorruptEvery: 7, ShortEvery: 9}, 7, 8)
 		})
 	}
 	t.Run("unretried", func(t *testing.T) {
 		degradedRollups, degradedLadder := 0, 0
 		for _, ds := range diffServeDatasets() {
 			t.Run(ds.name, func(t *testing.T) {
-				degradedRollups += faultServingSweep(t, ds, fault.Config{CorruptEvery: 7}, 8, -1)
+				degradedRollups += faultServingSweep(t, ds, fault.Config{CorruptEvery: 7}, 7, -1)
 			})
 		}
 		for _, ds := range ladderDatasets() {
 			t.Run("ladder_"+ds.name, func(t *testing.T) {
-				degradedLadder += faultLadderSweep(t, ds, fault.Config{CorruptEvery: 7}, 8, -1)
+				degradedLadder += faultLadderSweep(t, ds, fault.Config{CorruptEvery: 7}, 7, -1)
 			})
 		}
 		if degradedRollups == 0 {
@@ -119,20 +118,22 @@ func faultServingSweep(t *testing.T, ds diffServeDataset, cfg fault.Config, bloc
 				t.Fatal(err)
 			}
 			for _, p := range lat.Points() {
-				ans, err := s.Answer(context.Background(), Query{Point: p})
-				if err != nil {
-					if !explicitFailure(err) {
-						t.Fatalf("%s: failed without a sentinel: %v", lat.Label(p), err)
+				for _, q := range append([]Query{{Point: p}}, pinnedQueries(s, oracle, p)...) {
+					ans, err := s.Answer(context.Background(), q)
+					if err != nil {
+						if !explicitFailure(err) {
+							t.Fatalf("%s where %v: failed without a sentinel: %v", lat.Label(p), q.Where, err)
+						}
+						continue
 					}
-					continue
-				}
-				if ans.Degraded {
-					degraded++
-					if ans.Plan == PlanRollup {
-						degradedRollups++
+					if ans.Degraded {
+						degraded++
+						if ans.Plan == PlanRollup {
+							degradedRollups++
+						}
 					}
+					assertRowsMatchOracle(t, s, oracle, q, ans)
 				}
-				assertRowsMatchOracle(t, s, oracle, p, ans)
 			}
 		})
 	}
@@ -200,46 +201,24 @@ func faultLadderSweep(t *testing.T, ds ladderDataset, cfg fault.Config, blockCel
 			}
 			res := oracle.result(t)
 			for _, p := range lat.Points() {
-				ans, err := s.Answer(ctx, Query{Point: p})
-				if err != nil {
-					if !explicitFailure(err) {
-						t.Fatalf("%s: failed without a sentinel: %v", lat.Label(p), err)
+				for _, q := range append([]Query{{Point: p}}, pinnedQueries(s, res, p)...) {
+					ans, err := s.Answer(ctx, q)
+					if err != nil {
+						if !explicitFailure(err) {
+							t.Fatalf("%s where %v: failed without a sentinel: %v", lat.Label(p), q.Where, err)
+						}
+						continue
 					}
-					continue
+					if ans.Degraded && ans.Plan == PlanDirect {
+						degradedDirect++
+					}
+					assertRowsMatchOracle(t, s, res, q, ans)
 				}
-				if ans.Degraded && ans.Plan == PlanDirect {
-					degradedDirect++
-				}
-				assertRowsMatchOracle(t, s, res, p, ans)
 			}
 		})
 	}
 	t.Logf("%s: %d degraded direct answers over three generations and the memtable", ds.name, degradedDirect)
 	return degradedDirect
-}
-
-// assertRowsMatchOracle compares one answer with the oracle cuboid cell by
-// cell, byte-equal on keys and encoded aggregate states.
-func assertRowsMatchOracle(tb testing.TB, s *Store, oracle *cube.Result, p lattice.Point, ans *Answer) {
-	tb.Helper()
-	keys := oracle.Keys(p)
-	if len(ans.Rows) != len(keys) {
-		tb.Fatalf("%s (plan %s): answered %d cells, oracle has %d",
-			s.lat.Label(p), ans.Plan, len(ans.Rows), len(keys))
-	}
-	for i, row := range ans.Rows {
-		if string(packKey(nil, row.Key)) != string(packKey(nil, keys[i])) {
-			tb.Fatalf("%s (plan %s) cell %d: key %v, oracle %v", s.lat.Label(p), ans.Plan, i, row.Key, keys[i])
-		}
-		want, _ := oracle.State(p, keys[i])
-		var got32, want32 [32]byte
-		row.State.Encode(got32[:])
-		want.Encode(want32[:])
-		if got32 != want32 {
-			tb.Fatalf("%s (plan %s) cell %v: state %+v, oracle %+v",
-				s.lat.Label(p), ans.Plan, row.Key, row.State, want)
-		}
-	}
 }
 
 // TestDegradedServingLadder corrupts the store's cell file on disk and
@@ -285,7 +264,7 @@ func TestDegradedServingLadder(t *testing.T) {
 			}
 			degradedBase++
 		}
-		assertRowsMatchOracle(t, s, oracle, p, ans)
+		assertRowsMatchOracle(t, s, oracle, Query{Point: p}, ans)
 	}
 	if degradedBase == 0 {
 		t.Fatal("no query hit the corrupt block — the ladder was never exercised")

@@ -198,7 +198,8 @@ type pin struct {
 
 // pinsAt places the query's constraints in the key of the cuboid a plan
 // reads: the target's i-th live axis sits at position proj[i] of that
-// key, or at i when proj is nil (a direct read).
+// key, or at i when proj is nil (a direct read). Live axes ascend and so
+// does proj, so the pins come out in ascending position order.
 func pinsAt(where map[int]match.ValueID, live, proj []int) []pin {
 	pins := make([]pin, 0, len(where))
 	for i, a := range live {
@@ -213,9 +214,25 @@ func pinsAt(where map[int]match.ValueID, live, proj []int) []pin {
 	return pins
 }
 
+// leadingPins splits pins, in ascending position order, into the key
+// prefix they fix — the values of the longest run of pins at positions
+// 0..k-1 — and the pins after it, which a read filters cell by cell.
+func leadingPins(pins []pin) (prefix []match.ValueID, rest []pin) {
+	k := 0
+	for k < len(pins) && pins[k].pos == k {
+		k++
+	}
+	prefix = make([]match.ValueID, k)
+	for i := range prefix {
+		prefix[i] = pins[i].val
+	}
+	return prefix, pins[k:]
+}
+
 // source is one input of a merged cuboid read — a generation's cursor or
-// the memtable — with the query's pins applied before the merge. err
-// keeps the input's own failure: the generation the ladder re-reads.
+// the memtable, each already seeking to the query's leading pins — with
+// the remaining pins applied before the merge. err keeps the input's own
+// failure: the generation the ladder re-reads.
 type source struct {
 	in   cellfile.Stream
 	pins []pin
@@ -240,16 +257,33 @@ next:
 	}
 }
 
-// memCuboid streams one memtable cuboid, in key order, as cells.
+// memCuboid streams the cells of one memtable cuboid whose keys start
+// with prefix, in key order: it starts at a binary search for the prefix
+// and stops at the first cell past it.
 type memCuboid struct {
-	c    cube.DeltaCuboid
-	i    int
-	cell cellfile.Cell
+	c      cube.DeltaCuboid
+	prefix []match.ValueID
+	i      int
+	cell   cellfile.Cell
+}
+
+// newMemCuboid returns the memtable stream of cuboid pid's cells with
+// prefix.
+func newMemCuboid(c cube.DeltaCuboid, pid uint32, prefix []match.ValueID) *memCuboid {
+	m := &memCuboid{c: c, prefix: prefix, cell: cellfile.Cell{Point: pid}}
+	m.i = sort.Search(c.Len(), func(i int) bool { return m.cmp(i) >= 0 })
+	return m
+}
+
+// cmp compares the i-th cell's key with the prefix (cellfile.ComparePrefix).
+func (m *memCuboid) cmp(i int) int {
+	key, _ := m.c.At(i)
+	return cellfile.ComparePrefix(key, m.prefix)
 }
 
 // Next implements cellfile.Stream.
 func (m *memCuboid) Next(context.Context) (*cellfile.Cell, error) {
-	if m.i == m.c.Len() {
+	if m.i == m.c.Len() || (len(m.prefix) > 0 && m.cmp(m.i) > 0) {
 		return nil, nil
 	}
 	m.cell.Key, m.cell.State = m.c.At(m.i)
@@ -259,8 +293,11 @@ func (m *memCuboid) Next(context.Context) (*cellfile.Cell, error) {
 
 // mergeCuboid streams cuboid pid, under a held read lock, from the base,
 // the deltas oldest first and the memtable through cellfile.MergeAgg: fn
-// sees each surviving group once, in key order, its state merged across
-// the sources in that order. A single-file store is a merge of one.
+// sees each group that passes pins once, in key order, its state merged
+// across the sources in that order. A single-file store is a merge of
+// one. Every source seeks to the prefix the leading pins fix (see
+// leadingPins), so a pin on position 0 reads about one block per
+// generation instead of the whole cuboid.
 //
 // The degraded ladder runs by restart: when generation i fails with a
 // data fault, serve.degraded.scan counts it, reset clears what fn
@@ -276,6 +313,7 @@ func (s *Store) mergeCuboid(ctx context.Context, pid uint32, pins []pin, reset f
 		mode  cellfile.ReadMode
 		fault error
 	}
+	prefix, rest := leadingPins(pins)
 	reads := make([]genRead, 1+len(s.deltas))
 	streams := make([]cellfile.Stream, 0, len(reads)+1)
 	for {
@@ -286,12 +324,12 @@ func (s *Store) mergeCuboid(ctx context.Context, pid uint32, pins []pin, reset f
 			if i > 0 {
 				gen = s.deltas[i-1]
 			}
-			g.cur = gen.Cuboid(pid, g.mode)
-			g.src = source{in: g.cur, pins: pins}
+			g.cur = gen.Cuboid(pid, prefix, g.mode)
+			g.src = source{in: g.cur, pins: rest}
 			streams = append(streams, &g.src)
 		}
 		if s.mem != nil && s.mem.CuboidCells(pid) > 0 {
-			streams = append(streams, &source{in: &memCuboid{c: s.mem.Cuboid(pid), cell: cellfile.Cell{Point: pid}}, pins: pins})
+			streams = append(streams, &source{in: newMemCuboid(s.mem.Cuboid(pid), pid, prefix), pins: rest})
 		}
 		err := cellfile.MergeAgg(ctx, streams, fn)
 		for i := range reads {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"x3/internal/cellfile"
 	"x3/internal/cube"
 	"x3/internal/dataset"
 	"x3/internal/lattice"
@@ -75,18 +76,52 @@ func packKey(dst []byte, vals []match.ValueID) []byte {
 // cuboid cell by cell, byte-equal on keys and encoded aggregate states.
 func assertCuboidMatchesOracle(tb testing.TB, s *Store, oracle *cube.Result, p lattice.Point) PlanKind {
 	tb.Helper()
-	ans, err := s.Answer(context.Background(), Query{Point: p})
+	return assertQueryMatchesOracle(tb, s, oracle, Query{Point: p}).Plan
+}
+
+// assertQueryMatchesOracle answers q and compares the answer with the
+// oracle (assertRowsMatchOracle).
+func assertQueryMatchesOracle(tb testing.TB, s *Store, oracle *cube.Result, q Query) *Answer {
+	tb.Helper()
+	ans, err := s.Answer(context.Background(), q)
 	if err != nil {
-		tb.Fatalf("%s: %v", s.lat.Label(p), err)
+		tb.Fatalf("%s where %v: %v", s.lat.Label(q.Point), q.Where, err)
 	}
-	keys := oracle.Keys(p)
+	assertRowsMatchOracle(tb, s, oracle, q, ans)
+	return ans
+}
+
+// oracleKeys returns the oracle's keys of q's cuboid that hold every
+// value q pins, in key order.
+func oracleKeys(s *Store, oracle *cube.Result, q Query) [][]match.ValueID {
+	live := s.lat.LiveAxes(q.Point)
+	var out [][]match.ValueID
+next:
+	for _, k := range oracle.Keys(q.Point) {
+		for i, a := range live {
+			if v, ok := q.Where[a]; ok && k[i] != v {
+				continue next
+			}
+		}
+		out = append(out, k)
+	}
+	return out
+}
+
+// assertRowsMatchOracle compares an answer to q with the oracle cuboid,
+// filtered by q's pins, cell by cell, byte-equal on keys and encoded
+// aggregate states.
+func assertRowsMatchOracle(tb testing.TB, s *Store, oracle *cube.Result, q Query, ans *Answer) {
+	tb.Helper()
+	p := q.Point
+	keys := oracleKeys(s, oracle, q)
 	if len(ans.Rows) != len(keys) {
-		tb.Fatalf("%s (plan %s): answered %d cells, oracle has %d",
-			s.lat.Label(p), ans.Plan, len(ans.Rows), len(keys))
+		tb.Fatalf("%s where %v (plan %s): answered %d cells, oracle has %d",
+			s.lat.Label(p), q.Where, ans.Plan, len(ans.Rows), len(keys))
 	}
 	for i, row := range ans.Rows {
 		if string(packKey(nil, row.Key)) != string(packKey(nil, keys[i])) {
-			tb.Fatalf("%s (plan %s) cell %d: key %v, oracle %v", s.lat.Label(p), ans.Plan, i, row.Key, keys[i])
+			tb.Fatalf("%s where %v (plan %s) cell %d: key %v, oracle %v", s.lat.Label(p), q.Where, ans.Plan, i, row.Key, keys[i])
 		}
 		want, ok := oracle.State(p, keys[i])
 		if !ok {
@@ -96,11 +131,72 @@ func assertCuboidMatchesOracle(tb testing.TB, s *Store, oracle *cube.Result, p l
 		row.State.Encode(got32[:])
 		want.Encode(want32[:])
 		if got32 != want32 {
-			tb.Fatalf("%s (plan %s) cell %v: state %+v, oracle %+v",
-				s.lat.Label(p), ans.Plan, row.Key, row.State, want)
+			tb.Fatalf("%s where %v (plan %s) cell %v: state %+v, oracle %+v",
+				s.lat.Label(p), q.Where, ans.Plan, row.Key, row.State, want)
 		}
 	}
-	return ans.Plan
+}
+
+// absentValue is a value no dictionary of the test corpora assigns.
+const absentValue = match.ValueID(1 << 30)
+
+// pinnedQueries returns the pinned legs of the differential suites over
+// cuboid p, with values from the oracle's middle key: a pin on the
+// leading live axis, a full-key point, a two-axis leading prefix, a pin
+// on a non-leading axis alone, and a leading pin on a value no cell
+// holds. A cuboid without live axes has none, one without cells only the
+// last, one with a single live axis no two-axis or non-leading pin.
+func pinnedQueries(s *Store, oracle *cube.Result, p lattice.Point) []Query {
+	live := s.lat.LiveAxes(p)
+	if len(live) == 0 {
+		return nil
+	}
+	qs := []Query{{Point: p, Where: map[int]match.ValueID{live[0]: absentValue}}}
+	keys := oracle.Keys(p)
+	if len(keys) == 0 {
+		return qs
+	}
+	mid := keys[len(keys)/2]
+	pin := func(pos ...int) Query {
+		where := make(map[int]match.ValueID, len(pos))
+		for _, i := range pos {
+			where[live[i]] = mid[i]
+		}
+		return Query{Point: p, Where: where}
+	}
+	every := make([]int, len(live))
+	for i := range every {
+		every[i] = i
+	}
+	qs = append(qs, pin(0), pin(every...))
+	if len(live) > 1 {
+		qs = append(qs, pin(0, 1), pin(len(live)-1))
+	}
+	return qs
+}
+
+// leadingRollup reports whether ans answered q by rolling up a finer
+// cuboid whose leading key position q pins, so the roll-up's read seeks.
+func leadingRollup(s *Store, q Query, ans *Answer) bool {
+	live := s.lat.LiveAxes(q.Point)
+	if ans.Plan != PlanRollup || len(live) == 0 {
+		return false
+	}
+	_, pinned := q.Where[live[0]]
+	return pinned && s.lat.LiveAxes(ans.From)[0] == live[0]
+}
+
+// assertPinnedMatchOracle answers cuboid p's pinned queries and compares
+// each answer with the oracle filtered the same way. It returns how many
+// were roll-ups whose pin landed on the finer cuboid's leading position.
+func assertPinnedMatchOracle(tb testing.TB, s *Store, oracle *cube.Result, p lattice.Point) (leadingRollups int) {
+	tb.Helper()
+	for _, q := range pinnedQueries(s, oracle, p) {
+		if leadingRollup(s, q, assertQueryMatchesOracle(tb, s, oracle, q)) {
+			leadingRollups++
+		}
+	}
+	return leadingRollups
 }
 
 func TestDirectAnswersMatchOracleEverywhere(t *testing.T) {
@@ -151,6 +247,112 @@ func TestSliceScanIsBounded(t *testing.T) {
 	}
 	if scanned >= total {
 		t.Fatalf("slice query scanned %d of %d cells — not using the index", scanned, total)
+	}
+}
+
+// TestLeadingPinReadsAtMostTwoBlocks pins the seek's cost. On a DBLP
+// store of 2,000 articles in 256-cell blocks, an $au-pinned direct
+// answer on each of the eight cuboids that keep $au rigid, its leading
+// key axis, decodes at most two blocks per generation — from a single
+// file, and from a ladder of a base, two deltas and the memtable —
+// where the whole cuboid spans many more.
+func TestLeadingPinReadsAtMostTwoBlocks(t *testing.T) {
+	ctx := context.Background()
+	lat, err := lattice.New(dataset.DBLPQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dicts := make([]*match.Dict, lat.NumAxes())
+	for i := range dicts {
+		dicts[i] = match.NewDict()
+	}
+	base, err := match.EvaluateWith(dataset.DBLP(dataset.DefaultDBLPConfig(2000, 1)), lat, dicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := []struct {
+		name  string
+		gens  int64
+		build func(opt Options) *Store
+	}{
+		{"file", 1, func(opt Options) *Store {
+			s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, base, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"ladder", 3, func(opt Options) *Store {
+			opt.FlushCells, opt.CompactAfter = -1, -1
+			s, err := BuildDir(t.TempDir(), lat, base, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(1); k <= 3; k++ {
+				doc := dataset.DBLP(dataset.DefaultDBLPConfig(100, 1+k))
+				if _, err := s.Append(ctx, docBytes(t, doc)); err != nil {
+					t.Fatal(err)
+				}
+				if k < 3 {
+					if err := s.Flush(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return s
+		}},
+	}
+	for _, st := range stores {
+		reg := obs.New()
+		s := st.build(Options{Registry: reg, CacheBytes: -1})
+		defer s.Close()
+		au, err := s.axisByVar("$au")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned := reg.Counter("serve.scan.cells")
+		bound := 2 * int64(cellfile.DefaultBlockCells) * st.gens
+		widest := int64(0)
+		for i := range 8 {
+			states := map[string]string{"$au": "rigid"}
+			for b, v := range []string{"$m", "$y", "$j"} {
+				if i&(1<<b) == 0 {
+					states[v] = "rigid"
+				}
+			}
+			p, err := s.PointFromStates(states)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := lat.LiveAxes(p); live[0] != au {
+				t.Fatalf("%s: $au is not the leading key axis", lat.Label(p))
+			}
+			before := scanned.Value()
+			whole, err := s.Answer(ctx, Query{Point: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			widest = max(widest, scanned.Value()-before)
+			for k := 1; k <= 4; k++ {
+				author := whole.Rows[len(whole.Rows)*k/5].Key[0]
+				before := scanned.Value()
+				ans, err := s.Answer(ctx, Query{Point: p, Where: map[int]match.ValueID{au: author}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.Plan != PlanDirect || len(ans.Rows) == 0 {
+					t.Fatalf("%s, %s, author %d: plan %s, %d rows; want a direct answer", st.name, lat.Label(p), author, ans.Plan, len(ans.Rows))
+				}
+				if n := scanned.Value() - before; n > bound {
+					t.Errorf("%s, %s, author %d: decoded %d cells over %d generations, more than two %d-cell blocks each",
+						st.name, lat.Label(p), author, n, st.gens, cellfile.DefaultBlockCells)
+				}
+			}
+		}
+		if widest <= 2*bound {
+			t.Fatalf("%s: the widest whole cuboid decodes only %d cells: too small to tell a seek from a scan", st.name, widest)
+		}
+		t.Logf("%s: the widest whole cuboid decodes %d cells; a pinned answer at most %d", st.name, widest, bound)
 	}
 }
 
