@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"x3/internal/costmodel"
 	"x3/internal/cube"
 	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/schema"
 	"x3/internal/sjoin"
 	"x3/internal/stats"
-	"x3/internal/views"
 )
 
 // AxisProperties reports the schema-inferred summarizability of one
@@ -181,6 +181,9 @@ type ViewSuggestion struct {
 // guarantees; pass "" to measure nothing safe (each view then only
 // answers itself).
 func (r *CubeResult) SuggestViews(k int, dtdText string) ([]ViewSuggestion, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("x3: SuggestViews needs k > 0, got %d", k)
+	}
 	lat := r.res.Lattice
 	var props cube.Props
 	if dtdText != "" {
@@ -193,21 +196,20 @@ func (r *CubeResult) SuggestViews(k int, dtdText string) ([]ViewSuggestion, erro
 			return nil, err
 		}
 	}
-	sizes := map[uint32]int64{}
+	cands := make([]costmodel.Candidate, 0, lat.Size())
 	for _, p := range lat.Points() {
-		sizes[lat.ID(p)] = int64(r.res.CuboidSize(p))
+		cands = append(cands, costmodel.Candidate{PID: lat.ID(p), Cells: int64(r.res.CuboidSize(p)), Bytes: 1})
 	}
-	base := int64(r.facts)
-	if base < 1 {
-		base = 1
-	}
-	sugs, err := views.Select(lat, props, sizes, base, k)
+	pids, decisions, err := costmodel.Select(lat, props, cands, costmodel.Config{Budget: int64(k), BaseCost: int64(r.facts)})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ViewSuggestion, len(sugs))
-	for i, s := range sugs {
-		out[i] = ViewSuggestion{Cuboid: lat.Label(s.Point), Size: s.Size, Benefit: s.Benefit}
+	// Report the picks in greedy order: Round is 1-based and dense.
+	out := make([]ViewSuggestion, len(pids))
+	for _, d := range decisions {
+		if d.Materialize {
+			out[d.Round-1] = ViewSuggestion{Cuboid: lat.Label(lat.FromID(d.PID)), Size: d.Cells, Benefit: int64(d.Benefit)}
+		}
 	}
 	return out, nil
 }

@@ -205,9 +205,12 @@ func TestSuggestViews(t *testing.T) {
 	if len(sugs) == 0 {
 		t.Fatal("no suggestions")
 	}
-	for _, s := range sugs {
+	for i, s := range sugs {
 		if s.Size <= 0 || s.Benefit <= 0 || s.Cuboid == "" {
 			t.Errorf("bad suggestion %+v", s)
+		}
+		if i > 0 && s.Benefit > sugs[i-1].Benefit {
+			t.Errorf("benefit grew from pick %d to %d: %+v", i, i+1, sugs)
 		}
 	}
 	// Without a DTD it still works (self-serving views only).

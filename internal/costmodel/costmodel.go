@@ -1,13 +1,15 @@
 // Package costmodel picks which cuboids of a relaxed-cube lattice to
-// materialize under a byte budget — the paper's §3.6–3.7 schema-customized
-// cube turned adaptive. Where package views answers "which k cuboids", this
-// package answers "which cuboids fit in B bytes and repay them best": a
-// greedy benefit-per-byte model in the HRU tradition, priced with the v4
-// columnar encoder's real byte sizes and weighted by the live per-cuboid
-// query counts the serving layer collects.
+// materialize under a budget — the paper's §3.6–3.7 schema-customized
+// cube turned adaptive. It is the one view selector: a greedy
+// benefit-per-byte model in the HRU tradition that answers "which
+// cuboids fit in B bytes and repay them best" when candidates are priced
+// with the columnar encoder's real byte sizes and weighted by the live
+// per-cuboid query counts the serving layer collects, and "which k
+// cuboids" (HRU's count budget) when every candidate weighs one unit and
+// the budget is k.
 //
 // The model: answering target cuboid t costs cost(t) scan units — the
-// cheapest materialized cuboid that can safely derive t (views.PathSafe,
+// cheapest materialized cuboid that can safely derive t (cube.PathSafe,
 // the same routing the query planner uses), or the base-fact recompute
 // cost when none can. Materializing candidate c drops cost(t) to c's cell
 // count for every t it can answer; the benefit of picking c is the
@@ -28,7 +30,6 @@ import (
 
 	"x3/internal/cube"
 	"x3/internal/lattice"
-	"x3/internal/views"
 )
 
 // Candidate is one materializable cuboid.
@@ -38,15 +39,15 @@ type Candidate struct {
 	// Cells is the cuboid's cell count — the scan cost of answering from
 	// it once materialized.
 	Cells int64
-	// Bytes is the cuboid's encoded size (v4 columnar), the budget it
-	// consumes.
+	// Bytes is the budget the cuboid consumes: its encoded size under a
+	// byte budget, or 1 under a count budget.
 	Bytes int64
 }
 
 // Config tunes a selection run.
 type Config struct {
-	// Budget is the byte budget; <= 0 means unlimited (every candidate
-	// with positive benefit is picked).
+	// Budget is the budget in the candidates' Bytes units; <= 0 means
+	// unlimited (every candidate with positive benefit is picked).
 	Budget int64
 	// Weights holds one query weight per lattice point, indexed by pid;
 	// nil weights every target equally. The serving layer feeds smoothed
@@ -126,7 +127,7 @@ func Select(lat *lattice.Lattice, props cube.Props, cands []Candidate, cfg Confi
 		from := lat.FromID(c.PID)
 		for _, t := range targets {
 			tid := lat.ID(t)
-			if tid == c.PID || views.PathSafe(lat, props, from, t) {
+			if tid == c.PID || cube.PathSafe(lat, props, from, t) {
 				answers[i] = append(answers[i], tid)
 			}
 		}
@@ -173,9 +174,10 @@ func Select(lat *lattice.Lattice, props cube.Props, cands []Candidate, cfg Confi
 			}
 			bpb := b / float64(bytes)
 			// Ties break toward the larger absolute benefit, then the
-			// lower pid — the candidate slice is pid-sorted, so "first
-			// wins" is the lower pid.
-			if best < 0 || bpb > bestBPB || (bpb == bestBPB && b > bestBenefit) {
+			// fewer cells, then the lower pid — the candidate slice is
+			// pid-sorted, so "first wins" is the lower pid.
+			if best < 0 || bpb > bestBPB || (bpb == bestBPB && (b > bestBenefit ||
+				b == bestBenefit && c.Cells < cands[best].Cells)) {
 				best, bestBPB, bestBenefit = i, bpb, b
 			}
 		}

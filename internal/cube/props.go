@@ -109,3 +109,41 @@ func cloneRows(rows [][]bool) [][]bool {
 }
 
 var _ Props = (*MeasuredProps)(nil)
+
+// EdgeSafe reports whether the lattice edge into p that relaxed axis a is
+// a safe roll-up — the paper's §3.2/§3.7 rule, which TDCUST, the serving
+// planner and the view selector all apply: for an LND step the dropped
+// axis must be covered and disjoint at the finer state; for a ladder
+// state step it must be covered below and disjoint above, making the two
+// states' value sets identical.
+func EdgeSafe(lat *lattice.Lattice, props Props, p lattice.Point, a int) bool {
+	sq := int(p[a]) - 1
+	if lat.Deleted(p, a) {
+		return props.Covered(a, sq) && props.Disjoint(a, sq)
+	}
+	return props.Covered(a, sq) && props.Disjoint(a, int(p[a]))
+}
+
+// PathSafe reports whether cuboid `to` can be derived from the finer
+// cuboid `from` purely over safe relaxation edges. `from` must be
+// componentwise no more relaxed than `to`; edge safety depends only on
+// the stepped axis and its target state, so any monotone path between the
+// two points has the same safety — PathSafe checks each (axis, state)
+// step once. A nil props certifies nothing, so only the empty path
+// (from == to) is safe.
+func PathSafe(lat *lattice.Lattice, props Props, from, to lattice.Point) bool {
+	p := from.Clone()
+	for a := range to {
+		if from[a] > to[a] {
+			return false // `from` is coarser on axis a: not an ancestor
+		}
+		for s := int(from[a]) + 1; s <= int(to[a]); s++ {
+			p[a] = uint8(s)
+			if props == nil || !EdgeSafe(lat, props, p, a) {
+				return false
+			}
+		}
+		p[a] = to[a]
+	}
+	return true
+}

@@ -126,14 +126,7 @@ func (t TD) chooseSafeParent(in *Input, store *cellStore, p lattice.Point) *pare
 		if !store.has(lat.ID(q)) {
 			continue
 		}
-		sq := int(p[a]) - 1
-		var safe bool
-		if lat.Deleted(p, a) {
-			safe = in.Props.Covered(a, sq) && in.Props.Disjoint(a, sq)
-		} else {
-			safe = in.Props.Covered(a, sq) && in.Props.Disjoint(a, int(p[a]))
-		}
-		if safe {
+		if EdgeSafe(lat, in.Props, p, a) {
 			return &parentEdge{parent: q, axis: a, drop: lat.Deleted(p, a)}
 		}
 	}

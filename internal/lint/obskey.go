@@ -12,7 +12,7 @@ import (
 // obsKindMethods are the Registry methods that mint a metric under a key;
 // each is its own metric kind in the registry's namespace.
 var obsKindMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Timer": true, "Span": true, "HDR": true,
+	"Counter": true, "Gauge": true, "Span": true, "HDR": true,
 }
 
 // dynamic metric families ("fault.injected." + site) must open with a
@@ -21,7 +21,7 @@ var obsKindMethods = map[string]bool{
 var dottedPrefixRE = regexp.MustCompile(`^[a-z0-9]+(\.[a-z0-9_]+)*\.$`)
 
 // Obskey returns the analyzer guarding the flat obs key namespace from
-// PR 1: every key passed to Registry.{Counter,Gauge,Timer,Span,HDR}
+// PR 1: every key passed to Registry.{Counter,Gauge,Span,HDR}
 // must be a compile-time constant matching ^[a-z0-9]+(\.[a-z0-9_]+)+$ —
 // or, for dynamic families, start with a literal dotted prefix — and no
 // key may be registered under two different metric kinds. A typo'd or

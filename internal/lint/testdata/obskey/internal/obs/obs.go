@@ -25,9 +25,6 @@ func (r *Registry) Counter(name string) *Metric { return &Metric{} }
 // Gauge mints a gauge under name.
 func (r *Registry) Gauge(name string) *Metric { return &Metric{} }
 
-// Timer mints a timer under name.
-func (r *Registry) Timer(name string) *Metric { return &Metric{} }
-
 // Span opens a span under name; the returned func closes it.
 func (r *Registry) Span(name string) func() { return func() {} }
 

@@ -25,9 +25,9 @@ func Record(reg *obs.Registry, site string, shard int) {
 	reg.HDR("latency").Observe(0)      // want obskey "at least two dotted segments"
 
 	// The same key under two kinds resolves two silent metrics.
-	reg.Timer("user.mixed").Observe(0) // want obskey "multiple kinds"
-	reg.Counter("user.mixed").Inc()    // want obskey "multiple kinds"
-	reg.HDR("user.mixed").Observe(0)   // want obskey "multiple kinds"
+	reg.Gauge("user.mixed").Add(0)   // want obskey "multiple kinds"
+	reg.Counter("user.mixed").Inc()  // want obskey "multiple kinds"
+	reg.HDR("user.mixed").Observe(0) // want obskey "multiple kinds"
 
 	//x3:nolint(obskey) fixture: legacy single-segment key predates the namespace rule
 	reg.Counter("legacy").Inc()

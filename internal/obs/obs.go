@@ -1,6 +1,6 @@
 // Package obs is the pipeline-wide observability layer: a lightweight,
-// allocation-conscious metrics registry — counters, gauges, timers and
-// HDR histograms under hierarchical dotted keys such as "store.pool.hits",
+// allocation-conscious metrics registry — counters, gauges and HDR
+// histograms under hierarchical dotted keys such as "store.pool.hits",
 // "extsort.runs.spilled" or "cube.buc.passes" — plus a per-run Trace of
 // phase spans (match → sort → cube passes) carrying wall time and peak
 // estimated memory.
@@ -81,41 +81,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer accumulates durations: event count, total and maximum.
-type Timer struct{ count, total, max atomic.Int64 }
-
-// Observe folds one duration into the timer. Safe on a nil receiver.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	ns := int64(d)
-	t.count.Add(1)
-	t.total.Add(ns)
-	for {
-		cur := t.max.Load()
-		if ns <= cur || t.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Total returns the summed duration (0 on a nil receiver).
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.total.Load())
-}
-
 // Registry is a named collection of metrics and a trace of phase spans.
 // The zero value is not usable; call New. All methods are safe for
 // concurrent use and safe on a nil receiver (returning nil handles).
@@ -123,7 +88,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hdrs     map[string]*HDR
 	spans    []SpanRecord
 	start    time.Time
@@ -134,7 +98,6 @@ func New() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		timers:   map[string]*Timer{},
 		hdrs:     map[string]*HDR{},
 		start:    time.Now(),
 	}
@@ -170,22 +133,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the timer registered under name, creating it on first use.
-// A nil registry returns a nil (no-op) handle.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Span is an in-flight phase of the run trace. End records it; spans may
@@ -241,19 +188,11 @@ type SpanRecord struct {
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }
 
-// TimerSnapshot is the exported state of one timer.
-type TimerSnapshot struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MaxNS   int64 `json:"max_ns"`
-}
-
 // Snapshot is a point-in-time copy of everything the registry holds, in
 // the machine-readable shape the -metrics flag emits.
 type Snapshot struct {
-	Counters map[string]int64         `json:"counters"`
-	Gauges   map[string]int64         `json:"gauges,omitempty"`
-	Timers   map[string]TimerSnapshot `json:"timers,omitempty"`
+	Counters map[string]int64 `json:"counters"`
+	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	// HDR carries the histograms' quantile summaries (p50..p999 in
 	// observed units; nanoseconds by convention for latency keys).
 	HDR   map[string]HDRStats `json:"hdr,omitempty"`
@@ -276,16 +215,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges = map[string]int64{}
 		for k, g := range r.gauges {
 			snap.Gauges[k] = g.Value()
-		}
-	}
-	if len(r.timers) > 0 {
-		snap.Timers = map[string]TimerSnapshot{}
-		for k, t := range r.timers {
-			snap.Timers[k] = TimerSnapshot{
-				Count:   t.count.Load(),
-				TotalNS: t.total.Load(),
-				MaxNS:   t.max.Load(),
-			}
 		}
 	}
 	if len(r.hdrs) > 0 {

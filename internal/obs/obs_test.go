@@ -29,11 +29,12 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 		t.Errorf("gauge = %d, want 25", got)
 	}
 
-	tm := r.Timer("phase.sort")
-	tm.Observe(2 * time.Millisecond)
-	tm.Observe(5 * time.Millisecond)
-	if tm.Count() != 2 || tm.Total() != 7*time.Millisecond {
-		t.Errorf("timer count=%d total=%v", tm.Count(), tm.Total())
+	// Durations go to an HDR histogram, the one histogram kind.
+	h := r.HDR("phase.sort.latency")
+	h.ObserveDuration(2 * time.Millisecond)
+	h.ObserveDuration(5 * time.Millisecond)
+	if h.Count() != 2 {
+		t.Errorf("histogram count=%d", h.Count())
 	}
 
 	snap := r.Snapshot()
@@ -43,9 +44,9 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 	if snap.Gauges["cube.peak_bytes"] != 25 {
 		t.Errorf("snapshot gauge = %d", snap.Gauges["cube.peak_bytes"])
 	}
-	ts := snap.Timers["phase.sort"]
-	if ts.Count != 2 || ts.MaxNS != int64(5*time.Millisecond) {
-		t.Errorf("snapshot timer = %+v", ts)
+	hs := snap.HDR["phase.sort.latency"]
+	if hs.Count != 2 || hs.Max != int64(5*time.Millisecond) {
+		t.Errorf("snapshot histogram = %+v", hs)
 	}
 }
 
@@ -99,7 +100,6 @@ func TestNilRegistryIsFreeOfAllocations(t *testing.T) {
 		r.Counter("x").Inc()
 		r.Gauge("g").Set(7)
 		r.Gauge("g").SetMax(9)
-		r.Timer("t").Observe(time.Second)
 		r.HDR("h").Observe(123)
 		sp := r.Span("phase")
 		sp.SetPeakBytes(1)
@@ -110,7 +110,7 @@ func TestNilRegistryIsFreeOfAllocations(t *testing.T) {
 	}
 	// Nil handles read as zero.
 	if r.Counter("x").Value() != 0 || r.Gauge("x").Value() != 0 ||
-		r.Timer("x").Count() != 0 || r.HDR("x").Count() != 0 {
+		r.HDR("x").Count() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	if got := r.Snapshot(); len(got.Counters) != 0 {
@@ -143,7 +143,6 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").SetMax(int64(i))
-				r.Timer("t").Observe(time.Duration(i))
 				r.HDR("h").Observe(int64(i))
 			}
 			r.Span("s").End()
@@ -157,8 +156,8 @@ func TestConcurrentUse(t *testing.T) {
 	if snap.Gauges["g"] != 999 {
 		t.Errorf("concurrent gauge max = %d, want 999", snap.Gauges["g"])
 	}
-	if snap.Timers["t"].Count != 8000 || snap.HDR["h"].Count != 8000 {
-		t.Errorf("concurrent timer/histogram = %+v / %+v", snap.Timers["t"], snap.HDR["h"])
+	if snap.HDR["h"].Count != 8000 {
+		t.Errorf("concurrent histogram = %+v", snap.HDR["h"])
 	}
 	if len(snap.Spans) != 8 {
 		t.Errorf("concurrent spans = %d, want 8", len(snap.Spans))

@@ -21,7 +21,6 @@ import (
 	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/pattern"
-	"x3/internal/views"
 )
 
 // dblpWorkload evaluates the §4.5 DBLP query over a generated corpus of
@@ -47,9 +46,10 @@ func dblpWorkload(tb testing.TB, seed int64, articles int) (*lattice.Lattice, *m
 // resultRouteBase writes, at path, the base generation the way a build
 // wrote it before builds streamed into a sorted sink: COUNTER into a
 // cube.Result, the cuboid selection fed from its Keys/State walk, and the
-// kept cuboids written in Keys order. It returns the cost-model
+// kept cuboids written in Keys order. Under a count budget the unit-priced
+// selection must keep exactly wantViews. It returns the cost-model
 // decisions (nil without a space budget).
-func resultRouteBase(tb testing.TB, path string, lat *lattice.Lattice, set *match.Set, opt Options) []costmodel.Decision {
+func resultRouteBase(tb testing.TB, path string, lat *lattice.Lattice, set *match.Set, opt Options, wantViews []uint32) []costmodel.Decision {
 	tb.Helper()
 	props, err := cube.MeasureProps(lat, set)
 	if err != nil {
@@ -91,16 +91,19 @@ func resultRouteBase(tb testing.TB, path string, lat *lattice.Lattice, set *matc
 			keep[pid] = true
 		}
 	case opt.Views > 0 && opt.Views < lat.Size():
-		sizes := map[uint32]int64{}
+		var cands []costmodel.Candidate
 		for _, p := range lat.Points() {
-			sizes[lat.ID(p)] = int64(res.CuboidSize(p))
+			cands = append(cands, costmodel.Candidate{PID: lat.ID(p), Cells: int64(res.CuboidSize(p)), Bytes: 1})
 		}
-		sugg, err := views.Select(lat, props, sizes, rows, opt.Views)
+		pids, _, err := costmodel.Select(lat, props, cands, costmodel.Config{Budget: int64(opt.Views), BaseCost: rows})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for _, sg := range sugg {
-			keep[lat.ID(sg.Point)] = true
+		if !slices.Equal(pids, wantViews) {
+			tb.Fatalf("unit-priced selection keeps %v, want %v", pids, wantViews)
+		}
+		for _, pid := range pids {
+			keep[pid] = true
 		}
 	default:
 		for _, p := range lat.Points() {
@@ -129,17 +132,21 @@ func resultRouteBase(tb testing.TB, path string, lat *lattice.Lattice, set *matc
 // TestBuildBaseMatchesResultRoute pins the build route: the base
 // generation Build and BuildDir publish from the sorted sink is
 // byte-equal to the file the cube.Result route writes, and the cuboid
-// selection makes the same decisions, under every selection knob.
+// selection makes the same decisions, under every selection knob. The
+// Views: 5 picks are golden: they are the cuboids the former top-k
+// selector (HRU on cell counts) kept, which the unit-priced cost model
+// must keep too.
 func TestBuildBaseMatchesResultRoute(t *testing.T) {
 	workloads := []struct {
-		name string
-		load func(testing.TB) (*lattice.Lattice, *match.Set)
+		name      string
+		load      func(testing.TB) (*lattice.Lattice, *match.Set)
+		wantViews []uint32
 	}{
 		{"treebank", func(tb testing.TB) (*lattice.Lattice, *match.Set) {
 			lat, set, _ := treebankWorkload(tb, 3, 2000, mixedAxes())
 			return lat, set
-		}},
-		{"dblp", func(tb testing.TB) (*lattice.Lattice, *match.Set) { return dblpWorkload(tb, 1, 2000) }},
+		}, []uint32{0, 1, 2, 3, 4}},
+		{"dblp", func(tb testing.TB) (*lattice.Lattice, *match.Set) { return dblpWorkload(tb, 1, 2000) }, []uint32{8, 9, 10, 12, 13}},
 	}
 	opts := []Options{{}, {BlockCells: 7, Views: 5}, {SpaceBudget: 40000}}
 	for _, wl := range workloads {
@@ -148,7 +155,7 @@ func TestBuildBaseMatchesResultRoute(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/blocks%d_views%d_budget%d", wl.name, opt.BlockCells, opt.Views, opt.SpaceBudget), func(t *testing.T) {
 				dir := t.TempDir()
 				ref := filepath.Join(dir, "ref.x3ci")
-				wantDecisions := resultRouteBase(t, ref, lat, set, opt)
+				wantDecisions := resultRouteBase(t, ref, lat, set, opt, wl.wantViews)
 				want, err := os.ReadFile(ref)
 				if err != nil {
 					t.Fatal(err)
@@ -173,6 +180,15 @@ func TestBuildBaseMatchesResultRoute(t *testing.T) {
 					}
 					if d := s.Decisions(); !reflect.DeepEqual(d, wantDecisions) {
 						t.Errorf("%s: decisions %+v, want %+v", s.Path(), d, wantDecisions)
+					}
+					if opt.Views > 0 {
+						var kept []uint32
+						for _, m := range s.Materialized() {
+							kept = append(kept, lat.ID(m.Point))
+						}
+						if !slices.Equal(kept, wl.wantViews) {
+							t.Errorf("%s: keeps %v, want %v", s.Path(), kept, wl.wantViews)
+						}
 					}
 				}
 				t.Logf("%d of %d cuboids kept, %d bytes", len(single.Materialized()), lat.Size(), len(want))

@@ -8,16 +8,15 @@ import (
 	"x3/internal/costmodel"
 	"x3/internal/cube"
 	"x3/internal/lattice"
-	"x3/internal/views"
 )
 
 // selectKeep picks the cuboids a build materializes, from the sink's
-// sorted cells: every point; the greedy top-opt.Views under the safety
-// properties (package views), sized by cell count; or, under
-// opt.SpaceBudget, the cost model's greedy benefit-per-byte pick, each
-// cuboid priced by the data bytes a cell-file writer of its own encodes
-// it into. No queries have been observed at build time, so no workload
-// weights or scan discount apply.
+// sorted cells: every point, or the cost model's greedy pick under the
+// safety properties — within opt.SpaceBudget bytes, each cuboid priced by
+// the data bytes a cell-file writer of its own encodes it into, or else
+// at most opt.Views cuboids, each weighing one. No queries have been
+// observed at build time, so no workload weights or scan discount apply;
+// only a byte budget reports its decisions.
 func selectKeep(lat *lattice.Lattice, props cube.Props, sink *cellfile.IndexedSink, baseRows int, opt Options) (map[uint32]bool, []costmodel.Decision, error) {
 	keep := make(map[uint32]bool)
 	if opt.SpaceBudget <= 0 && (opt.Views <= 0 || opt.Views >= lat.Size()) {
@@ -26,30 +25,30 @@ func selectKeep(lat *lattice.Lattice, props cube.Props, sink *cellfile.IndexedSi
 		}
 		return keep, nil, nil
 	}
-	cells, bytes, err := tally(sink, lat.Size(), opt.BlockCells, opt.SpaceBudget > 0)
+	byBytes := opt.SpaceBudget > 0
+	cells, bytes, err := tally(sink, lat.Size(), opt.BlockCells, byBytes)
 	if err != nil {
 		return nil, nil, err
-	}
-	rows := max(int64(baseRows), 1)
-	if opt.SpaceBudget <= 0 {
-		sizes := make(map[uint32]int64, len(cells))
-		for pid, n := range cells {
-			sizes[uint32(pid)] = n
-		}
-		sugg, err := views.Select(lat, props, sizes, rows, opt.Views)
-		for _, sg := range sugg {
-			keep[lat.ID(sg.Point)] = true
-		}
-		return keep, nil, err
 	}
 	cands := make([]costmodel.Candidate, 0, lat.Size())
 	for _, p := range lat.Points() {
 		pid := lat.ID(p)
-		cands = append(cands, costmodel.Candidate{PID: pid, Cells: cells[pid], Bytes: bytes[pid]})
+		c := costmodel.Candidate{PID: pid, Cells: cells[pid], Bytes: 1}
+		if byBytes {
+			c.Bytes = bytes[pid]
+		}
+		cands = append(cands, c)
 	}
-	pids, decisions, err := costmodel.Select(lat, props, cands, costmodel.Config{Budget: opt.SpaceBudget, BaseCost: rows})
+	cfg := costmodel.Config{Budget: int64(opt.Views), BaseCost: int64(baseRows)}
+	if byBytes {
+		cfg.Budget = opt.SpaceBudget
+	}
+	pids, decisions, err := costmodel.Select(lat, props, cands, cfg)
 	for _, pid := range pids {
 		keep[pid] = true
+	}
+	if !byBytes {
+		decisions = nil
 	}
 	return keep, decisions, err
 }

@@ -543,7 +543,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	s.reg.Counter("compact.runs").Inc()
 	s.reg.Counter("compact.cells").Add(cells)
 	s.reg.Counter("compact.inputs").Add(int64(1 + len(oldDeltas)))
-	s.reg.Timer("compact.merge").Observe(time.Since(start))
+	s.reg.HDR("compact.merge.latency").ObserveDuration(time.Since(start))
 	return nil
 }
 

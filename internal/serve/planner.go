@@ -12,7 +12,6 @@ import (
 	"x3/internal/cube"
 	"x3/internal/lattice"
 	"x3/internal/match"
-	"x3/internal/views"
 )
 
 // ctxCheckEvery is the cancellation-check granularity of the serving
@@ -118,7 +117,6 @@ func (s *Store) Answer(ctx context.Context, q Query) (*Answer, error) {
 	s.reg.Counter("serve.queries").Inc()
 	s.reg.Counter("serve.plan." + ans.Plan.String()).Inc()
 	s.reg.Counter("serve.rows").Add(int64(len(ans.Rows)))
-	s.reg.Timer("serve.answer").Observe(time.Since(start))
 	s.reg.HDR("serve.answer.latency").ObserveDuration(time.Since(start))
 	return ans, nil
 }
@@ -138,7 +136,7 @@ func (s *Store) plan(target lattice.Point) (from lattice.Point, cost int64) {
 			continue // cannot beat the incumbent; skip the safety walk
 		}
 		p := s.lat.FromID(pid)
-		if pid != targetID && !views.PathSafe(s.lat, s.props, p, target) {
+		if pid != targetID && !cube.PathSafe(s.lat, s.props, p, target) {
 			continue
 		}
 		best, bestCost, bestID = p, cells, pid

@@ -4,9 +4,9 @@
 // base fact table, and the summarizability properties; a query planner
 // (planner.go) answers point, slice and roll-up queries by routing each
 // target cuboid to the cheapest materialized cuboid it can be *safely*
-// derived from — reusing the §3.2/§3.7 safe-relaxation criterion that
-// package views applies to view selection — and re-aggregating on the
-// fly, falling back to base-fact recomputation when no safe ancestor is
+// derived from — the §3.2/§3.7 safe-relaxation rule (cube.PathSafe)
+// that view selection applies too — and re-aggregating on the fly,
+// falling back to base-fact recomputation when no safe ancestor is
 // materialized.
 //
 // A store built with Build is one read-only cell file. A store built with
@@ -49,9 +49,10 @@ import (
 type Options struct {
 	// Algorithm computes the initial cube (default COUNTER).
 	Algorithm string
-	// Views > 0 materializes only the cuboids picked by the greedy
-	// view-selection of package views (under the store's safety
-	// properties); 0 materializes every cuboid. Ignored when SpaceBudget
+	// Views > 0 materializes at most that many cuboids, picked by the
+	// cost model's greedy selection (internal/costmodel) with every
+	// cuboid weighing one unit of budget, under the store's safety
+	// properties; 0 materializes every cuboid. Ignored when SpaceBudget
 	// is set.
 	Views int
 	// SpaceBudget > 0 materializes only the cuboids picked by the greedy
