@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test fuzz-replay race fuzz faults cover bench bench-smoke
+.PHONY: ci vet lint build test fuzz-replay race fuzz faults cover bench bench-smoke loc
 
 ci: vet lint build test race faults cover bench-smoke
 
@@ -67,6 +67,11 @@ faults:
 # layer and its cell-file substrate must stay above 80% of statements.
 cover:
 	sh scripts/cover.sh
+
+# Non-test Go lines outside bench/ and testdata, per package and in
+# total: the size figure simplicity changes quote.
+loc:
+	sh scripts/loc.sh
 
 # The benchmark (bench/, its own module, contract in BENCHMARK.json) is
 # never compiled by build/test; this leg builds it and runs every workload

@@ -37,7 +37,7 @@
 //	GET  /generations delta-ladder shape: outstanding deltas, memtable cells
 //	GET  /cuboids     per-cuboid materialization state, query counts, and
 //	                  (under -space-budget) the cost model's decisions
-//	GET  /metrics     serve.* counters, cache hit rates, latency timers
+//	GET  /metrics     serve.* counters, cache hit rates, HDR latency histograms
 //	GET  /topology    sharded mode: per-shard key ranges and replica health
 package main
 

@@ -92,9 +92,9 @@ func tally(sink *cellfile.IndexedSink, points, blockCells int, price bool) (cell
 // generation files can survive a merge — a dropped cuboid needs a rebuild
 // to come back), priced from the live files' encoded bytes and weighted by
 // the observed per-cuboid query counts and cache hit rate. Returns the new
-// keep list (sorted), its set form, and the decisions. Caller holds
-// refreshMu; the swappable state is read under s.mu.
-func (s *Store) budgetKeep(gens []*cellfile.IndexedReader) ([]uint32, map[uint32]bool, []costmodel.Decision, error) {
+// keep list (sorted) and the decisions. Caller holds refreshMu; the
+// swappable state is read under s.mu.
+func (s *Store) budgetKeep(gens []*cellfile.IndexedReader) ([]uint32, []costmodel.Decision, error) {
 	s.mu.RLock()
 	props := s.props
 	baseRows := int64(s.base.NumFacts())
@@ -117,20 +117,12 @@ func (s *Store) budgetKeep(gens []*cellfile.IndexedReader) ([]uint32, map[uint32
 		}
 		cands = append(cands, costmodel.Candidate{PID: pid, Cells: cells, Bytes: bytes})
 	}
-	pids, decisions, err := costmodel.Select(s.lat, props, cands, costmodel.Config{
+	return costmodel.Select(s.lat, props, cands, costmodel.Config{
 		Budget:       s.spaceBudget,
 		Weights:      s.queryWeights(),
 		BaseCost:     baseRows,
 		ScanDiscount: s.cacheDiscount(),
 	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	set := make(map[uint32]bool, len(pids))
-	for _, pid := range pids {
-		set[pid] = true
-	}
-	return pids, set, decisions, nil
 }
 
 // recordQuery bumps the per-cuboid query counter the cost model reads as
@@ -198,7 +190,7 @@ func (s *Store) CuboidReport() []CuboidStatus {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	mat := make(map[uint32]bool)
-	for _, pid := range s.matPoints() {
+	for _, pid := range s.keepSorted {
 		mat[pid] = true
 	}
 	byPID := make(map[uint32]*costmodel.Decision, len(s.decisions))

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"x3/internal/cube"
@@ -111,5 +113,52 @@ func TestDifferentialServing(t *testing.T) {
 	}
 	if leadingRollups == 0 {
 		t.Error("no pinned roll-up read its finer cuboid by a leading pin — the sweep does not reach a roll-up's seek")
+	}
+}
+
+// TestBuildAndBuildDirAnswerAlike pins the one store shape: a read-only
+// Build store and a BuildDir ladder store over the same facts and
+// options give identical answers — plan, source cuboid, rows and
+// Degraded — on every cuboid, whole and under every pinned leg of the
+// differential suites.
+func TestBuildAndBuildDirAnswerAlike(t *testing.T) {
+	ctx := context.Background()
+	for _, ds := range diffServeDatasets() {
+		for seed := int64(1); seed <= 3; seed++ {
+			lat, set := ds.build(t, seed)
+			opt := Options{Views: ds.views, BlockCells: 7}
+			file, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer file.Close()
+			ladder, err := BuildDir(t.TempDir(), lat, set, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ladder.Close()
+			oracle, err := cube.RunOracle(lat, set, set.Dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(file.Materialized(), ladder.Materialized()) {
+				t.Fatalf("%s seed %d: materialized %v (Build) and %v (BuildDir)", ds.name, seed, file.Materialized(), ladder.Materialized())
+			}
+			for _, p := range lat.Points() {
+				for _, q := range append([]Query{{Point: p}}, pinnedQueries(file, oracle, p)...) {
+					a, err := file.Answer(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := ladder.Answer(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s seed %d, %s where %v: Build answers %+v, BuildDir %+v", ds.name, seed, lat.Label(p), q.Where, a, b)
+					}
+				}
+			}
+		}
 	}
 }

@@ -199,10 +199,6 @@ func (s *Store) initLadder(dir string, man manifest, opt Options) {
 	s.dir = dir
 	s.man = man
 	s.keepSorted = man.Keep
-	s.keep = make(map[uint32]bool, len(man.Keep))
-	for _, pid := range man.Keep {
-		s.keep[pid] = true
-	}
 	s.flushCells = int64(opt.FlushCells)
 	if s.flushCells == 0 {
 		s.flushCells = defaultFlushCells
@@ -243,13 +239,10 @@ func (s *Store) writable() error {
 }
 
 // Generations reports the ladder's current shape: outstanding delta
-// files and memtable cells. Single-file stores report zeros.
+// files and memtable cells. Build stores report zeros.
 func (s *Store) Generations() (deltas int, memCells int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.mem == nil {
-		return 0, 0
-	}
 	return len(s.deltas), s.mem.Cells()
 }
 
@@ -477,14 +470,18 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	// every generation holds the cuboids the manifest names and no other;
 	// the planner re-derives a dropped cuboid's answers from finer
 	// cuboids or base facts.
-	newKeepSorted, newKeepSet := s.man.Keep, s.keep
+	newKeepSorted := s.man.Keep
 	var newDecisions []costmodel.Decision
 	if s.spaceBudget > 0 {
-		pids, set, decisions, err := s.budgetKeep(gens)
+		pids, decisions, err := s.budgetKeep(gens)
 		if err != nil {
 			return err
 		}
-		newKeepSorted, newKeepSet, newDecisions = pids, set, decisions
+		newKeepSorted, newDecisions = pids, decisions
+	}
+	newKeepSet := make(map[uint32]bool, len(newKeepSorted))
+	for _, pid := range newKeepSorted {
+		newKeepSet[pid] = true
 	}
 
 	name := genName("base", s.man.NextGen)
@@ -527,7 +524,6 @@ func (s *Store) compactLocked(ctx context.Context) error {
 	s.path = full
 	if s.spaceBudget > 0 {
 		s.keepSorted = newKeepSorted
-		s.keep = newKeepSet
 		s.decisions = newDecisions
 		s.mem.Restrict(newKeepSorted)
 	}
@@ -553,7 +549,7 @@ func (s *Store) compactLocked(ctx context.Context) error {
 // the process entry layer (`go store.CompactLoop(ctx)`); it never
 // spawns goroutines itself.
 func (s *Store) CompactLoop(ctx context.Context) {
-	if s.dir == "" || ctx == nil {
+	if s.writable() != nil || ctx == nil {
 		return
 	}
 	for {

@@ -81,36 +81,42 @@ type Answer struct {
 }
 
 // Answer plans and executes one query under ctx (nil means no deadline).
-// It holds the store's read lock for the whole execution, so a concurrent
-// refresh never swaps state under a half-answered query. Cancellation
-// surfaces as an error wrapping ctx.Err(); malformed queries wrap
-// ErrBadRequest.
+// It holds the store's read lock once, for the whole request —
+// validation, planning, the scan and the fold — so a concurrent
+// maintenance swap never changes state under a half-answered query.
+// Cancellation surfaces as an error wrapping ctx.Err(); malformed
+// queries wrap ErrBadRequest.
 func (s *Store) Answer(ctx context.Context, q Query) (*Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.answer(ctx, q, false, start)
+}
 
+// answer is the request core Answer and AnswerCells share, under a held
+// read lock: validate q, count it, plan and execute it. none marks a
+// query pinned to a value no dictionary holds: it is planned and counted
+// like any other, but reads nothing and answers no rows. start is when
+// the caller began waiting for the lock, so serve.answer.latency
+// includes that wait.
+func (s *Store) answer(ctx context.Context, q Query, none bool, start time.Time) (*Answer, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if err := s.lat.Validate(q.Point); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	live := s.lat.LiveAxes(q.Point)
-	liveSet := make(map[int]bool, len(live))
-	for _, a := range live {
-		liveSet[a] = true
-	}
 	// Ascending axis order, not map order: when several constrained axes
 	// are dead at this point, every run must reject the same one.
 	for _, a := range sortedWhereAxes(q.Where) {
-		if !liveSet[a] {
+		if !slices.Contains(live, a) {
 			return nil, fmt.Errorf("%w: axis %d is not live at %s", ErrBadRequest, a, s.lat.Label(q.Point))
 		}
 	}
 
 	s.recordQuery(s.lat.ID(q.Point))
-	ans, err := s.execute(ctx, q, live)
+	ans, err := s.execute(ctx, q, live, none)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +136,7 @@ func (s *Store) plan(target lattice.Point) (from lattice.Point, cost int64) {
 		bestCost int64 = -1
 		bestID   uint32
 	)
-	for _, pid := range s.matPoints() {
+	for _, pid := range s.keepSorted {
 		cells := s.matCells(pid)
 		if bestCost >= 0 && (cells > bestCost || (cells == bestCost && pid >= bestID)) {
 			continue // cannot beat the incumbent; skip the safety walk
@@ -144,47 +150,141 @@ func (s *Store) plan(target lattice.Point) (from lattice.Point, cost int64) {
 	return best, bestCost
 }
 
-// execute routes the query to its plan and runs it through the fallback
-// ladder: the fast indexed read, then a sequential verified re-scan of
-// the cell file, then recomputation from the base facts — which never
-// touch the file, so a corrupt store degrades to slow-but-correct
+// execute is the one path from plan to rows. It reads one source — the
+// merged generations of the cuboid plan picks (scanCuboid), or the base
+// facts when no materialized cuboid answers safely (scanBase) — projects
+// each arrival onto the target's live axes and folds equal keys only
+// where the arrivals are not already in key order (rowSink). none skips
+// the read: a pin no dictionary holds matches no cell. A cuboid that even
+// the degraded merge cannot read falls back to the base facts, which
+// never touch the files, so a corrupt store degrades to slow-but-correct
 // answers instead of serving garbage or going dark.
-func (s *Store) execute(ctx context.Context, q Query, live []int) (*Answer, error) {
-	from, _ := s.plan(q.Point)
-	if from == nil {
-		rows, err := s.answerFromBase(ctx, q, live)
-		if err != nil {
-			return nil, err
+func (s *Store) execute(ctx context.Context, q Query, live []int, none bool) (*Answer, error) {
+	ans := &Answer{Plan: PlanBase}
+	if ans.From, _ = s.plan(q.Point); ans.From != nil {
+		ans.Plan = PlanRollup
+		if s.lat.ID(ans.From) == s.lat.ID(q.Point) {
+			ans.Plan = PlanDirect
 		}
-		return &Answer{Plan: PlanBase, Rows: rows}, nil
 	}
-	var (
-		rows     []Row
-		degraded bool
-		err      error
-	)
-	plan := PlanRollup
-	if s.lat.ID(from) == s.lat.ID(q.Point) {
-		plan = PlanDirect
-		rows, degraded, err = s.answerDirect(ctx, q, live)
-	} else {
-		rows, degraded, err = s.answerRollup(ctx, q, live, from)
+	if none {
+		return ans, nil
 	}
-	if err != nil {
+	var err error
+	if ans.From != nil {
+		ans.Rows, ans.Degraded, err = s.scanCuboid(ctx, q, live, ans.From)
+		if err == nil {
+			return ans, nil
+		}
 		if isCancellation(err) {
 			return nil, err
 		}
-		// Final rung: the materialized file is unreadable even by the
-		// degraded scan. Base facts live in memory, so this cannot be
-		// poisoned by the same corruption.
 		s.reg.Counter("serve.degraded.base").Inc()
-		rows, berr := s.answerFromBase(ctx, q, live)
-		if berr != nil {
-			return nil, berr
-		}
-		return &Answer{Plan: PlanBase, Rows: rows, Degraded: true}, nil
+		ans = &Answer{Plan: PlanBase, Degraded: true}
 	}
-	return &Answer{Plan: plan, From: from, Rows: rows, Degraded: degraded}, nil
+	if ans.Rows, err = s.scanBase(ctx, q, live); err != nil {
+		return nil, err
+	}
+	return ans, nil
+}
+
+// rowSink collects a scan's projected arrivals. A direct read arrives
+// sorted and distinct (sorted) and is returned as it came; any other
+// source folds its arrivals with Fold.
+type rowSink struct {
+	rows   []Row
+	sorted bool
+}
+
+// add takes one arrival; the row owns key.
+func (r *rowSink) add(key []match.ValueID, st agg.State) {
+	r.rows = append(r.rows, Row{Key: key, State: st})
+}
+
+// result returns the rows sorted by key, one per key.
+func (r *rowSink) result() []Row {
+	if r.sorted {
+		return r.rows
+	}
+	return Fold(r.rows, func(a, b Row) int { return slices.Compare(a.Key, b.Key) },
+		func(r *Row) *agg.State { return &r.State })
+}
+
+// scanCuboid reads the materialized cuboid from, merged across the
+// generations (mergeCuboid), and projects each cell onto the target's
+// live axes: the target's i-th live axis sits at position proj[i] of
+// from's key (plan only picks a from at least as fine on every axis). A
+// direct read projects by the identity and never folds; a roll-up folds.
+// Safe relaxation steps make a roll-up exact: across a ladder state step
+// the cells coincide, and across an LND step the dropped axis's groups
+// partition the facts, so aggregate-state merging (internal/agg)
+// reproduces the target cuboid.
+func (s *Store) scanCuboid(ctx context.Context, q Query, live []int, from lattice.Point) ([]Row, bool, error) {
+	out := rowSink{sorted: s.lat.ID(from) == s.lat.ID(q.Point)}
+	fromLive := live // a direct read's source is the target
+	if !out.sorted {
+		fromLive = s.lat.LiveAxes(from)
+	}
+	proj := make([]int, len(live))
+	for i, a := range live {
+		proj[i] = slices.Index(fromLive, a)
+	}
+	degraded, err := s.mergeCuboid(ctx, s.lat.ID(from), pinsAt(q.Where, live, proj), func() { out.rows = out.rows[:0] }, func(c *cellfile.Cell) error {
+		key := make([]match.ValueID, len(proj))
+		for i, pos := range proj {
+			key[i] = c.Key[pos]
+		}
+		out.add(key, c.State)
+		return nil
+	})
+	if err != nil {
+		return nil, degraded, err
+	}
+	return out.result(), degraded, nil
+}
+
+// scanBase recomputes the target cuboid from the base facts — the
+// oracle-style enumeration of each fact's group memberships at the
+// target's ladder states, restricted by the query's pins — and folds the
+// memberships, which arrive in fact order, into groups.
+func (s *Store) scanBase(ctx context.Context, q Query, live []int) ([]Row, error) {
+	var out rowSink
+	key := make([]match.ValueID, 0, len(live))
+	var facts int64
+	err := s.base.Each(func(f *match.Fact) error {
+		if facts%ctxCheckEvery == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return fmt.Errorf("%w: %w", ErrCancelled, cerr)
+			}
+		}
+		facts++
+		var one agg.State
+		one.Add(f.Measure)
+		var rec func(i int)
+		rec = func(i int) {
+			if i == len(live) {
+				out.add(slices.Clone(key), one)
+				return
+			}
+			a := live[i]
+			want, constrained := q.Where[a]
+			for _, v := range f.Values(a, int(q.Point[a])) {
+				if constrained && v != want {
+					continue
+				}
+				key = append(key, v)
+				rec(i + 1)
+				key = key[:len(key)-1]
+			}
+		}
+		rec(0)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Counter("serve.base.facts").Add(facts)
+	return out.result(), nil
 }
 
 // pin is one of a query's equality constraints placed in the key of the
@@ -196,17 +296,13 @@ type pin struct {
 
 // pinsAt places the query's constraints in the key of the cuboid a plan
 // reads: the target's i-th live axis sits at position proj[i] of that
-// key, or at i when proj is nil (a direct read). Live axes ascend and so
-// does proj, so the pins come out in ascending position order.
+// key. Live axes ascend and so does proj, so the pins come out in
+// ascending position order.
 func pinsAt(where map[int]match.ValueID, live, proj []int) []pin {
 	pins := make([]pin, 0, len(where))
 	for i, a := range live {
 		if v, ok := where[a]; ok {
-			pos := i
-			if proj != nil {
-				pos = proj[i]
-			}
-			pins = append(pins, pin{pos: pos, val: v})
+			pins = append(pins, pin{pos: proj[i], val: v})
 		}
 	}
 	return pins
@@ -292,10 +388,10 @@ func (m *memCuboid) Next(context.Context) (*cellfile.Cell, error) {
 // mergeCuboid streams cuboid pid, under a held read lock, from the base,
 // the deltas oldest first and the memtable through cellfile.MergeAgg: fn
 // sees each group that passes pins once, in key order, its state merged
-// across the sources in that order. A single-file store is a merge of
-// one. Every source seeks to the prefix the leading pins fix (see
-// leadingPins), so a pin on position 0 reads about one block per
-// generation instead of the whole cuboid.
+// across the sources in that order. A Build store has no deltas and an
+// empty memtable, so its merge reads one file. Every source seeks to the
+// prefix the leading pins fix (see leadingPins), so a pin on position 0
+// reads about one block per generation instead of the whole cuboid.
 //
 // The degraded ladder runs by restart: when generation i fails with a
 // data fault, serve.degraded.scan counts it, reset clears what fn
@@ -326,7 +422,7 @@ func (s *Store) mergeCuboid(ctx context.Context, pid uint32, pins []pin, reset f
 			g.src = source{in: g.cur, pins: rest}
 			streams = append(streams, &g.src)
 		}
-		if s.mem != nil && s.mem.CuboidCells(pid) > 0 {
+		if s.mem.CuboidCells(pid) > 0 {
 			streams = append(streams, &source{in: newMemCuboid(s.mem.Cuboid(pid), pid, prefix), pins: rest})
 		}
 		err := cellfile.MergeAgg(ctx, streams, fn)
@@ -348,106 +444,6 @@ func (s *Store) mergeCuboid(ctx context.Context, pid uint32, pins []pin, reset f
 		g.fault, g.mode, degraded = g.src.err, cellfile.Verified, true
 		reset()
 	}
-}
-
-// answerDirect streams the materialized target cuboid out of the merged
-// generations: the merge's key order is the answer's, so the rows need
-// no map and no sort.
-func (s *Store) answerDirect(ctx context.Context, q Query, live []int) ([]Row, bool, error) {
-	var rows []Row
-	degraded, err := s.mergeCuboid(ctx, s.lat.ID(q.Point), pinsAt(q.Where, live, nil), func() { rows = rows[:0] }, func(c *cellfile.Cell) error {
-		key := make([]match.ValueID, len(c.Key))
-		copy(key, c.Key)
-		rows = append(rows, Row{Key: key, State: c.State})
-		return nil
-	})
-	return rows, degraded, err
-}
-
-// answerRollup merges the finer materialized cuboid `from` across the
-// generations and the memtable, projects its cells onto the target's
-// live axes in stream order, and folds them into the target's coarser
-// groups. Safe relaxation steps make this exact: across a ladder state
-// step the cells coincide, and across an LND step the dropped axis's
-// groups partition the facts, so aggregate-state merging (internal/agg)
-// reproduces the target cuboid.
-func (s *Store) answerRollup(ctx context.Context, q Query, live []int, from lattice.Point) ([]Row, bool, error) {
-	fromLive := s.lat.LiveAxes(from)
-	// proj[i] is the position within from's key of the target's i-th
-	// live axis.
-	proj := make([]int, len(live))
-	for i, a := range live {
-		pos := slices.Index(fromLive, a)
-		if pos < 0 {
-			return nil, false, fmt.Errorf("serve: internal: axis %d live at %s but not at finer %s",
-				a, s.lat.Label(q.Point), s.lat.Label(from))
-		}
-		proj[i] = pos
-	}
-	var rows []Row
-	degraded, err := s.mergeCuboid(ctx, s.lat.ID(from), pinsAt(q.Where, live, proj), func() { rows = rows[:0] }, func(c *cellfile.Cell) error {
-		key := make([]match.ValueID, len(live))
-		for i := range live {
-			key[i] = c.Key[proj[i]]
-		}
-		rows = append(rows, Row{Key: key, State: c.State})
-		return nil
-	})
-	if err != nil {
-		return nil, degraded, err
-	}
-	return foldRows(rows), degraded, nil
-}
-
-// answerFromBase recomputes the target cuboid from the base facts — the
-// oracle-style enumeration of each fact's group memberships at the
-// target's ladder states, restricted by the query's constraints — and
-// folds the memberships, in fact order, into groups.
-func (s *Store) answerFromBase(ctx context.Context, q Query, live []int) ([]Row, error) {
-	var rows []Row
-	key := make([]match.ValueID, 0, len(live))
-	var facts int64
-	err := s.base.Each(func(f *match.Fact) error {
-		if facts%ctxCheckEvery == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("%w: %w", ErrCancelled, cerr)
-			}
-		}
-		facts++
-		var one agg.State
-		one.Add(f.Measure)
-		var rec func(i int)
-		rec = func(i int) {
-			if i == len(live) {
-				rows = append(rows, Row{Key: slices.Clone(key), State: one})
-				return
-			}
-			a := live[i]
-			want, constrained := q.Where[a]
-			for _, v := range f.Values(a, int(q.Point[a])) {
-				if constrained && v != want {
-					continue
-				}
-				key = append(key, v)
-				rec(i + 1)
-				key = key[:len(key)-1]
-			}
-		}
-		rec(0)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.reg.Counter("serve.base.facts").Add(facts)
-	return foldRows(rows), nil
-}
-
-// foldRows folds (key, state) pairs, in arrival order, into key-sorted
-// rows, one per key (Fold).
-func foldRows(rows []Row) []Row {
-	return Fold(rows, func(a, b Row) int { return slices.Compare(a.Key, b.Key) },
-		func(r *Row) *agg.State { return &r.State })
 }
 
 // Fold is the serving path's one way to combine equal keys. It sorts rows

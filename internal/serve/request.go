@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"x3/internal/agg"
 	"x3/internal/lattice"
@@ -137,50 +138,44 @@ func (s *Store) axisByVar(v string) (int, error) {
 }
 
 // AnswerCells resolves a wire-level request and answers it under ctx in
-// mergeable form: decoded group values plus raw aggregate states.
-// Constraint values absent from the dictionaries yield an empty row set
-// (the value has never been seen, so no group can match). Resolution
-// failures — unknown axes, unknown states, constraints on deleted axes —
-// wrap ErrBadRequest.
+// mergeable form: decoded group values plus raw aggregate states. It
+// resolves, plans, executes and decodes under one hold of the store's
+// read lock, so the dictionaries that resolve the pins are the ones that
+// decode the rows. A constraint value absent from the dictionaries has
+// never been seen, so no group can match it: the request is planned and
+// counted like any other and answers no rows. Resolution failures —
+// unknown axes, unknown states, constraints on deleted axes — wrap
+// ErrBadRequest.
 func (s *Store) AnswerCells(ctx context.Context, req Request) (*CellAnswer, error) {
 	p, err := s.PointFromStates(req.Cuboid)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	q := Query{Point: p}
+	start := time.Now()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	where, unseen, err := s.resolveWhere(p, req.Where)
 	if err != nil {
 		return nil, err
 	}
-	q.Where = where
-	ca := &CellAnswer{Cuboid: s.lat.Label(p)}
-	if unseen {
-		ca.Plan = PlanDirect
-		ca.Rows = []CellRow{}
-		return ca, nil
-	}
-	ans, err := s.Answer(ctx, q)
+	ans, err := s.answer(ctx, Query{Point: p, Where: where}, unseen, start)
 	if err != nil {
 		return nil, err
 	}
-	ca.Plan = ans.Plan
-	ca.Degraded = ans.Degraded
+	ca := &CellAnswer{Cuboid: s.lat.Label(p), Plan: ans.Plan, Degraded: ans.Degraded, Rows: s.decodeRows(s.lat.LiveAxes(p), ans.Rows)}
 	if ans.From != nil {
 		ca.From = s.lat.Label(ans.From)
 	}
-	ca.Rows = s.decodeRows(s.lat.LiveAxes(p), ans.Rows)
 	return ca, nil
 }
 
-// resolveWhere maps a request's pinned values to ValueIDs at point p.
-// unseen reports a value no dictionary holds (no group can match it).
-// Dictionaries grow in place under mu, so lookups hold mu.RLock.
+// resolveWhere maps a request's pinned values to ValueIDs at point p,
+// under a held read lock (dictionaries grow in place under mu). unseen
+// reports a value no dictionary holds (no group can match it).
 func (s *Store) resolveWhere(p lattice.Point, where map[string]string) (map[int]match.ValueID, bool, error) {
 	if len(where) == 0 {
 		return nil, false, nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	dicts := s.base.Dicts
 	out := make(map[int]match.ValueID, len(where))
 	unseen := false
@@ -204,13 +199,11 @@ func (s *Store) resolveWhere(p lattice.Point, where map[string]string) (map[int]
 	return out, unseen, nil
 }
 
-// decodeRows turns answered rows into decoded values. It runs after
-// Answer returns, under its own mu.RLock: an append publishes its cells
-// and its dictionary values in one critical section, so every cell
-// Answer saw decodes, even one appended while the query ran.
+// decodeRows turns answered rows into decoded values, under the read lock
+// the answer was computed under: an append publishes its cells and its
+// dictionary values in one critical section, so every cell the answer
+// saw decodes.
 func (s *Store) decodeRows(live []int, rows []Row) []CellRow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	dicts := s.base.Dicts
 	out := make([]CellRow, len(rows))
 	for i, r := range rows {

@@ -1,18 +1,30 @@
 // Package serve is the materialized-cube serving layer: it turns a
-// computed relaxed cube into an answerable store. A Store owns an indexed
-// cell file (internal/cellfile) holding the materialized cuboids, the
+// computed relaxed cube into an answerable store. A Store owns indexed
+// cell files (internal/cellfile) holding the materialized cuboids, the
 // base fact table, and the summarizability properties; a query planner
 // (planner.go) answers point, slice and roll-up queries by routing each
 // target cuboid to the cheapest materialized cuboid it can be *safely*
 // derived from — the §3.2/§3.7 safe-relaxation rule (cube.PathSafe)
-// that view selection applies too — and re-aggregating on the fly,
-// falling back to base-fact recomputation when no safe ancestor is
-// materialized.
+// that view selection applies too — falling back to base-fact
+// recomputation when no safe ancestor is materialized.
 //
-// A store built with Build is one read-only cell file. A store built with
-// BuildDir is a delta ladder (ladder.go), the only store that changes:
-// appends are logged, held in a memtable, flushed as delta generations
-// and compacted. Every generation file is written by one routine
+// One executor runs every plan: it scans one source — the planned
+// cuboid merged across the generations and the memtable, or the base
+// facts — projects each arrival onto the target's live axes, and
+// combines equal keys only where the source is not the target itself.
+// Cells are never hashed by group: a direct read is already sorted and
+// distinct, and roll-ups, base recomputes and the shard coordinator's
+// gather Fold — a stable sort, then each run of equal keys merged in
+// arrival order — so every float state has the bits of an arrival-order
+// fold. A request takes the store's read lock once, from resolving its
+// pins to decoding its rows.
+//
+// Every store has one read-path shape: a base generation, delta
+// generations and a memtable. A store built with BuildDir is a delta
+// ladder (ladder.go), the only store that changes: appends are logged,
+// held in the memtable, flushed as delta generations and compacted. A
+// store built with Build is one read-only cell file with no deltas and
+// an empty memtable. Every generation file is written by one routine
 // (publish) and swapped in under the store lock, so queries run
 // concurrently with maintenance.
 //
@@ -20,12 +32,7 @@
 // computes into a cellfile.IndexedSink, which sorts its cells (spilling
 // sorted runs past a bound); view or budget selection reads per-cuboid
 // cell counts and encoded sizes off that sorted stream (selectKeep); and
-// publish writes the kept cuboids as the base generation. Cells are
-// never hashed by group: roll-ups, base recomputes and the shard
-// coordinator's gather collect (key, state) pairs in arrival order and
-// Fold them — a stable sort, then each run of equal keys merged in
-// arrival order — so every float state has the bits of an arrival-order
-// fold.
+// publish writes the kept cuboids as the base generation.
 package serve
 
 import (
@@ -75,8 +82,8 @@ type Options struct {
 	// Props certifies summarizability; nil measures the properties from
 	// the base facts once and folds every append's new facts into them.
 	Props cube.Props
-	// Registry receives the serve.* counters and timers; nil disables
-	// observability.
+	// Registry receives the serve.* counters and latency histograms; nil
+	// disables observability.
 	Registry *obs.Registry
 	// Fault injects deterministic faults into the store's file I/O —
 	// reads of the indexed cell file and writes of new generations; nil
@@ -111,15 +118,11 @@ type Store struct {
 	// with atomic adds); the cost model reads them as benefit weights.
 	qcounts []int64
 
-	// Ladder-mode state (BuildDir/OpenDir); zero for single-file stores.
-	// dir, flushCells, compactAfter and compactCh are immutable after
-	// open; walW, nextSeq and man belong to the maintenance path and are
-	// guarded by refreshMu. keep and keepSorted mirror man.Keep for the
-	// query path and are guarded by mu: a budgeted compaction may shrink
-	// them (the cost model dropping a cold cuboid).
+	// Maintenance state (BuildDir/OpenDir); zero for a read-only store
+	// built with Build. dir, flushCells, compactAfter and compactCh are
+	// immutable after open; walW, nextSeq and man belong to the
+	// maintenance path and are guarded by refreshMu.
 	dir          string
-	keep         map[uint32]bool
-	keepSorted   []uint32 // man.Keep mirror; queries read this, not man
 	flushCells   int64
 	compactAfter int
 	compactCh    chan struct{}
@@ -133,11 +136,18 @@ type Store struct {
 	// answers and later answers see the new state. Maintenance holds the
 	// gate across file I/O by design, which is why it is a gate.Gate and
 	// not a sync.Mutex (lockhold forbids blocking under a mutex).
-	refreshMu gate.Gate
-	mu        sync.RWMutex
-	rdr       *cellfile.IndexedReader
-	deltas    []*cellfile.IndexedReader // ladder mode: delta generations, oldest first
-	mem       *cube.Delta               // ladder mode: unflushed cells
+	//
+	// Every store has the read path's one shape: keepSorted, rdr, deltas
+	// and mem. keepSorted lists the materialized cuboids every generation
+	// holds (man.Keep, which a budgeted compaction may shrink; a Build
+	// store's file's cuboids). A Build store has no deltas and an empty
+	// memtable.
+	refreshMu  gate.Gate
+	mu         sync.RWMutex
+	keepSorted []uint32
+	rdr        *cellfile.IndexedReader
+	deltas     []*cellfile.IndexedReader // delta generations, oldest first
+	mem        *cube.Delta               // unflushed cells
 	// base is the store's own fact table; its Dicts are the only copy of
 	// the dictionaries. A ladder append extends both in place: the fact
 	// slice grows past the length readers hold (they never read the
@@ -163,6 +173,10 @@ func Build(path string, lat *lattice.Lattice, base *match.Set, opt Options) (*St
 	if s.rdr, _, err = s.publish(path, emitBase(lat, sink, keep)); err != nil {
 		return nil, err
 	}
+	// The ladder's read-path shape: the file's cuboids as the keep list,
+	// no deltas and a memtable no append can fill.
+	s.keepSorted = s.rdr.Points()
+	s.mem = cube.NewDelta(lat, s.keepSorted)
 	return s, nil
 }
 
@@ -354,7 +368,7 @@ func (s *Store) Materialized() []MaterializedCuboid {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []MaterializedCuboid
-	for _, pid := range s.matPoints() {
+	for _, pid := range s.keepSorted {
 		n := s.matCells(pid)
 		p := s.lat.FromID(pid)
 		out = append(out, MaterializedCuboid{Point: p, Label: s.lat.Label(p), Cells: n})
@@ -362,23 +376,10 @@ func (s *Store) Materialized() []MaterializedCuboid {
 	return out
 }
 
-// matPoints returns the materialized cuboid set under a held read lock:
-// the single file's directory, or the ladder's keep set (which every
-// generation shares).
-func (s *Store) matPoints() []uint32 {
-	if s.dir == "" {
-		return s.rdr.Points()
-	}
-	return s.keepSorted
-}
-
 // matCells returns cuboid pid's physical cell count across every
-// generation, under a held read lock.
+// generation and the memtable, under a held read lock.
 func (s *Store) matCells(pid uint32) int64 {
 	n, _ := s.rdr.CuboidCells(pid)
-	if s.dir == "" {
-		return n
-	}
 	for _, d := range s.deltas {
 		m, _ := d.CuboidCells(pid)
 		n += m

@@ -593,6 +593,63 @@ func TestServeRequestWireForm(t *testing.T) {
 	}
 }
 
+// TestUnseenPinIsPlannedAndCounted pins that a request pinned to a value
+// no dictionary holds takes the planner's route on a cuboid that is not
+// materialized: it answers no rows under a roll-up or base plan, reads
+// no cell and no fact, and counts as a query of that cuboid — in
+// serve.queries, its plan counter and the cost model's per-cuboid count.
+func TestUnseenPinIsPlannedAndCounted(t *testing.T) {
+	lat, set, _ := treebankWorkload(t, 13, 80, mixedAxes())
+	reg := obs.New()
+	s, err := Build(filepath.Join(t.TempDir(), "cube.x3ci"), lat, set, Options{Registry: reg, Views: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var target *CuboidStatus
+	report := s.CuboidReport()
+	for i, cs := range report {
+		if !cs.Materialized && len(lat.LiveAxes(lat.FromID(cs.PID))) > 0 {
+			target = &report[i]
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("every cuboid with a live axis is materialized")
+	}
+	p := lat.FromID(target.PID)
+	cuboid := map[string]string{}
+	for a, lad := range lat.Ladders {
+		cuboid[lad.Spec.Var] = lad.States[p[a]].Label
+	}
+	pinned := lat.Ladders[lat.LiveAxes(p)[0]].Spec.Var
+	counters := []string{"serve.queries", "serve.scan.cells", "serve.base.facts", "serve.plan.rollup", "serve.plan.base"}
+	before := map[string]int64{}
+	for _, c := range counters {
+		before[c] = reg.Counter(c).Value()
+	}
+	ca, err := s.AnswerCells(context.Background(), Request{Cuboid: cuboid, Where: map[string]string{pinned: "no-such-value"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ca.Cuboid != target.Label || len(ca.Rows) != 0 || (ca.Plan != PlanRollup && ca.Plan != PlanBase) {
+		t.Fatalf("%s where %s unseen: cuboid %s, plan %s, %d rows; want no rows under a roll-up or base plan",
+			target.Label, pinned, ca.Cuboid, ca.Plan, len(ca.Rows))
+	}
+	for _, c := range counters {
+		want := before[c]
+		if c == "serve.queries" || c == "serve.plan."+ca.Plan.String() {
+			want++
+		}
+		if got := reg.Counter(c).Value(); got != want {
+			t.Errorf("%s: %d after the query, want %d", c, got, want)
+		}
+	}
+	if got := s.CuboidReport()[target.PID].Queries; got != target.Queries+1 {
+		t.Errorf("%s: %d queries recorded, want %d", target.Label, got, target.Queries+1)
+	}
+}
+
 func TestIcebergRefused(t *testing.T) {
 	lat, set, _ := treebankWorkload(t, 23, 40, cleanAxes(2))
 	lat.Query.MinSupport = 2
