@@ -1,9 +1,10 @@
 // Command x3load is the production load harness: an open-loop workload
-// generator that drives the X³ serving layer — in-process against a
-// freshly built delta-ladder store, or over HTTP against a running
-// x3serve — with a deterministic seeded schedule of point, slice and
-// roll-up queries plus WAL appends, Zipf-skewed hot keys, and tenant
-// labels that exercise the per-tenant admission control.
+// generator that drives the X³ serving layer over HTTP — a running
+// x3serve, or a freshly built delta-ladder store served in-process
+// through the same HTTP edge on a loopback listener — with a
+// deterministic seeded schedule of point, slice and roll-up queries plus
+// WAL appends, Zipf-skewed hot keys, and tenant labels that exercise the
+// per-tenant admission control.
 //
 // Usage:
 //
@@ -14,7 +15,7 @@
 //
 // A run prints a JSON Report (throughput, per-tenant outcome counts, HDR
 // latency quantiles) to stdout, or to the -metrics file.
-// With -url and -backoff429 N the HTTP target retries 429s after the
+// With -backoff429 N the HTTP target retries 429s after the
 // server's Retry-After hint (jittered), counting the absorbed pressure
 // in load.backoff and per-tenant backoffs.
 package main
@@ -25,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http/httptest"
 	"os"
 	"time"
 
@@ -35,6 +37,7 @@ import (
 	"x3/internal/match"
 	"x3/internal/obs"
 	"x3/internal/serve"
+	"x3/internal/servehttp"
 )
 
 func main() {
@@ -51,8 +54,8 @@ func main() {
 		zipfS      = flag.Float64("zipf-s", 1.2, "hot-key Zipf exponent (> 1)")
 		scale      = flag.Int("scale", 200, "in-process dataset size in DBLP articles")
 		url        = flag.String("url", "", "drive a running x3serve at this base URL instead of in-process")
-		backoff429 = flag.Int("backoff429", 0, "HTTP target: retry 429s up to N times, honouring Retry-After with jitter (0 = report refusals)")
-		backoffCap = flag.Duration("backoff-cap", 250*time.Millisecond, "HTTP target: clamp each 429 backoff sleep")
+		backoff429 = flag.Int("backoff429", 0, "retry 429s up to N times, honouring Retry-After with jitter (0 = report refusals)")
+		backoffCap = flag.Duration("backoff-cap", 250*time.Millisecond, "clamp each 429 backoff sleep")
 
 		maxInFlight = flag.Int("max-inflight", 256, "in-process admission: max concurrent requests (0 disables)")
 		bgMax       = flag.Int("background-max", 0, "in-process admission: background sub-limit (0 = half)")
@@ -73,13 +76,11 @@ func main() {
 		Workload: load.DBLPWorkload{Journals: 50, Authors: 2000, YearFrom: 1990, YearTo: 2005},
 	}
 
-	var target load.Target
-	if *url != "" {
-		target = &load.HTTPTarget{
-			BaseURL: *url, MaxBackoffs: *backoff429, BackoffCap: *backoffCap,
-			Registry: obs.New(),
-		}
-	} else {
+	target := &load.HTTPTarget{
+		BaseURL: *url, MaxBackoffs: *backoff429, BackoffCap: *backoffCap,
+		Registry: obs.New(),
+	}
+	if *url == "" {
 		reg := obs.New()
 		store, cleanup, err := buildLadderStore(*scale, *seed, reg)
 		if err != nil {
@@ -93,7 +94,11 @@ func main() {
 				Rate: *tenantRate, Burst: *tenantBurst, Registry: reg,
 			})
 		}
-		target = &load.StoreTarget{Store: store, Admission: ctrl}
+		// The store serves through x3serve's own HTTP edge on a loopback
+		// listener, so admission and status mapping are the edge's.
+		srv := httptest.NewServer(servehttp.New(store, reg, servehttp.Options{Admission: ctrl}))
+		defer srv.Close()
+		target.BaseURL = srv.URL
 	}
 
 	ops := load.Schedule(cfg)
@@ -113,11 +118,7 @@ func buildLadderStore(scale int, seed int64, reg *obs.Registry) (*serve.Store, f
 	if err != nil {
 		return nil, nil, err
 	}
-	dicts := make([]*match.Dict, lat.NumAxes())
-	for i := range dicts {
-		dicts[i] = match.NewDict()
-	}
-	set, err := match.EvaluateWith(doc, lat, dicts)
+	set, err := match.Evaluate(doc, lat)
 	if err != nil {
 		return nil, nil, err
 	}

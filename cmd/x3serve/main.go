@@ -1,7 +1,10 @@
 // Command x3serve materializes an X³ cube and serves point, slice and
 // roll-up queries over HTTP from the indexed cell file, re-aggregating
 // safe roll-ups from the cheapest materialized ancestor and falling back
-// to base facts where summarizability does not hold.
+// to base facts where summarizability does not hold. The cube is
+// computed with COUNTER, and the summarizability properties that decide
+// which roll-ups are safe are measured from the facts and kept exact
+// under every append; no flag can assume them.
 //
 // Usage:
 //
@@ -55,11 +58,9 @@ import (
 	"time"
 
 	"x3/internal/admit"
-	"x3/internal/cube"
 	"x3/internal/lattice"
 	"x3/internal/match"
 	"x3/internal/obs"
-	"x3/internal/schema"
 	"x3/internal/serve"
 	"x3/internal/servehttp"
 	"x3/internal/shard"
@@ -74,8 +75,6 @@ func main() {
 		xmlPath   = flag.String("xml", "", "XML input file")
 		queryText = flag.String("query", "", "X³ query text")
 		queryFile = flag.String("queryfile", "", "file containing the X³ query")
-		dtdFile   = flag.String("dtdfile", "", "DTD certifying summarizability (default: measure from data)")
-		algorithm = flag.String("algorithm", "COUNTER", "cube algorithm for the initial build")
 		views     = flag.Int("views", 0, "materialize only the top-k cuboids by greedy view selection (0 = all)")
 		budget    = flag.Int64("space-budget", 0, "materialize only the cuboids the cost model picks within this many encoded bytes (0 = no budget; overrides -views)")
 		cellsPath = flag.String("cells", "", "indexed cell file path (default: a temp file)")
@@ -105,16 +104,14 @@ func main() {
 	flag.Parse()
 
 	reg := obs.New()
-	lat, set, props, err := buildInputs(*xmlPath, *queryText, *queryFile, *dtdFile)
+	lat, set, err := buildInputs(*xmlPath, *queryText, *queryFile)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt := serve.Options{
-		Algorithm:    *algorithm,
 		Views:        *views,
 		SpaceBudget:  *budget,
 		CacheBytes:   *cacheB,
-		Props:        props,
 		Registry:     reg,
 		FlushCells:   *flushN,
 		CompactAfter: *compactN,
@@ -240,60 +237,41 @@ type backend interface {
 }
 
 // buildInputs parses the document and query and evaluates the match phase.
-func buildInputs(xmlPath, queryText, queryFile, dtdFile string) (*lattice.Lattice, *match.Set, cube.Props, error) {
+func buildInputs(xmlPath, queryText, queryFile string) (*lattice.Lattice, *match.Set, error) {
 	if xmlPath == "" {
-		return nil, nil, nil, fmt.Errorf("need -xml")
+		return nil, nil, fmt.Errorf("need -xml")
 	}
 	qt := queryText
 	if queryFile != "" {
 		b, err := os.ReadFile(queryFile)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		qt = string(b)
 	}
 	if qt == "" {
-		return nil, nil, nil, fmt.Errorf("need -query or -queryfile")
+		return nil, nil, fmt.Errorf("need -query or -queryfile")
 	}
 	spec, err := xq.Parse(qt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	lat, err := lattice.New(spec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f, err := os.Open(xmlPath)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	doc, err := xmltree.Parse(f)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	dicts := make([]*match.Dict, lat.NumAxes())
-	for i := range dicts {
-		dicts[i] = match.NewDict()
-	}
-	set, err := match.EvaluateWith(doc, lat, dicts)
+	set, err := match.Evaluate(doc, lat)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	var props cube.Props
-	if dtdFile != "" {
-		b, err := os.ReadFile(dtdFile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		d, err := schema.Parse(string(b))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		props, err = schema.Infer(d, lat)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return lat, set, props, nil
+	return lat, set, nil
 }

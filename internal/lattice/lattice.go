@@ -10,6 +10,8 @@ package lattice
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"x3/internal/pattern"
@@ -171,6 +173,36 @@ func (l *Lattice) Label(p Point) string {
 		parts[a] = l.Ladders[a].Spec.Var + ":" + l.Ladders[a].States[p[a]].Label
 	}
 	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// PointFromStates resolves axis-variable → state-label assignments, e.g.
+// {"$n": "SP", "$y": "rigid"}, to a point; labels match case-insensitively
+// and omitted axes default to their most relaxed state. Variables are
+// checked in sorted order, so when several name no axis every call
+// reports the same one.
+func (l *Lattice) PointFromStates(states map[string]string) (Point, error) {
+	p := l.Bottom()
+	for _, v := range slices.Sorted(maps.Keys(states)) {
+		a, err := l.AxisByVar(v)
+		if err != nil {
+			return nil, err
+		}
+		si := slices.IndexFunc(l.Ladders[a].States, func(st relax.State) bool { return strings.EqualFold(st.Label, states[v]) })
+		if si < 0 {
+			return nil, fmt.Errorf("lattice: axis %s has no state %q", v, states[v])
+		}
+		p[a] = uint8(si)
+	}
+	return p, nil
+}
+
+// AxisByVar returns the axis index of a grouping variable.
+func (l *Lattice) AxisByVar(v string) (int, error) {
+	a := slices.IndexFunc(l.Ladders, func(lad relax.Ladder) bool { return lad.Spec.Var == v })
+	if a < 0 {
+		return 0, fmt.Errorf("lattice: query has no axis %q", v)
+	}
+	return a, nil
 }
 
 // Tree returns the branched tree pattern of point p (a Fig. 3 box).

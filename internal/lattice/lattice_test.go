@@ -199,3 +199,28 @@ func TestHugeLatticeRefused(t *testing.T) {
 		t.Error("2^24-cuboid lattice accepted")
 	}
 }
+
+func TestPointFromStates(t *testing.T) {
+	l := mustNew(t, query1())
+	p, err := l.PointFromStates(map[string]string{"$n": "sp", "$y": "rigid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.Label(p), "[$n:SP $p:LND $y:rigid]"; got != want {
+		t.Fatalf("resolved %s, want %s", got, want)
+	}
+	if p, err := l.PointFromStates(nil); err != nil || l.Label(p) != l.Label(l.Bottom()) {
+		t.Fatalf("empty assignment: %v, %v", p, err)
+	}
+	if _, err := l.PointFromStates(map[string]string{"$n": "sideways"}); err == nil || !strings.Contains(err.Error(), `no state "sideways"`) {
+		t.Fatalf("bad state label: %v", err)
+	}
+	// Variables are checked in sorted order: of two unknown axes the
+	// first in that order is reported, on every call.
+	for range 50 {
+		_, err := l.PointFromStates(map[string]string{"$zz": "rigid", "$aa": "rigid", "$n": "rigid"})
+		if err == nil || !strings.Contains(err.Error(), `no axis "$aa"`) {
+			t.Fatalf("two unknown axes: %v, want $aa reported", err)
+		}
+	}
+}

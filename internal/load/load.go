@@ -9,10 +9,11 @@
 // every completion into mergeable HDR latency histograms from
 // internal/obs, per tenant and overall.
 //
-// The same schedule can drive a serve.Store in-process (StoreTarget,
-// mirroring the status mapping of internal/servehttp exactly) or a live
-// x3serve over HTTP (HTTPTarget), so benchmark numbers and the race-run
-// soak test share one workload definition.
+// Every target speaks HTTP (HTTPTarget): a live x3serve, or an
+// in-process store behind the same internal/servehttp edge on a local
+// listener, so admission, status mapping and error bodies are the
+// edge's own and benchmark numbers and the race-run soak test share one
+// workload definition.
 package load
 
 import (

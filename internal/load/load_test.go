@@ -46,6 +46,15 @@ func buildStore(t *testing.T, reg *obs.Registry) *serve.Store {
 	return store
 }
 
+// serveEdge fronts a backend with the servehttp edge on a local listener
+// and returns a target that drives it and decodes its answers.
+func serveEdge(t *testing.T, b servehttp.Backend, reg *obs.Registry, ctrl *admit.Controller) *HTTPTarget {
+	t.Helper()
+	srv := httptest.NewServer(servehttp.New(b, reg, servehttp.Options{Admission: ctrl}))
+	t.Cleanup(srv.Close)
+	return &HTTPTarget{BaseURL: srv.URL, CaptureBody: true}
+}
+
 func TestParseMix(t *testing.T) {
 	m, err := ParseMix("point=0.6, slice=0.3,rollup=0.1")
 	if err != nil {
@@ -149,13 +158,14 @@ func TestHotTenantSkew(t *testing.T) {
 	}
 }
 
-// TestRunAgainstStore fires a short schedule at an in-process store and
-// checks the report: everything in-quota completes OK, latencies land in
-// the histograms, and per-tenant rows add up to the total.
+// TestRunAgainstStore fires a short schedule at an in-process store,
+// through the HTTP edge, and checks the report: everything in-quota
+// completes OK, latencies land in the histograms, and per-tenant rows
+// add up to the total.
 func TestRunAgainstStore(t *testing.T) {
 	reg := obs.New()
 	store := buildStore(t, reg)
-	target := &StoreTarget{Store: store, Admission: admit.New(admit.Config{MaxInFlight: 64})}
+	target := serveEdge(t, store, reg, admit.New(admit.Config{MaxInFlight: 64}))
 	cfg := Config{
 		Seed: 5, Rate: 400, Duration: 500 * time.Millisecond, Warmup: 100 * time.Millisecond,
 		Mix: Mix{Point: 0.6, Slice: 0.3, Rollup: 0.1}, Tenants: 3, Workload: testWorkload,
@@ -194,15 +204,16 @@ func TestRunAgainstStore(t *testing.T) {
 	}
 }
 
-// TestStoreTargetQuotaRefusals drives one tenant past a tight quota
-// in-process and checks the 429/Retry-After mapping matches the edge's.
-func TestStoreTargetQuotaRefusals(t *testing.T) {
+// TestHTTPTargetQuotaRefusals drives one tenant past a tight quota
+// under a frozen clock and checks the edge's 429 and Retry-After reach
+// the report.
+func TestHTTPTargetQuotaRefusals(t *testing.T) {
 	reg := obs.New()
 	store := buildStore(t, reg)
 	now := time.Unix(9000, 0)
-	target := &StoreTarget{Store: store, Admission: admit.New(admit.Config{
+	target := serveEdge(t, store, reg, admit.New(admit.Config{
 		Rate: 1, Burst: 2, Now: func() time.Time { return now },
-	})}
+	}))
 	op := Op{Kind: OpPoint, Tenant: "tenant0", Request: testWorkload.Query(OpPoint, 1)}
 	okCount, quotaCount := 0, 0
 	for i := 0; i < 5; i++ {
@@ -229,18 +240,14 @@ func TestStoreTargetQuotaRefusals(t *testing.T) {
 }
 
 // TestHTTPTarget runs the same workload over a real HTTP edge and checks
-// the statuses, headers and body decoding line up with StoreTarget's.
+// the statuses, headers and body decoding.
 func TestHTTPTarget(t *testing.T) {
 	reg := obs.New()
 	store := buildStore(t, reg)
 	now := time.Unix(100, 0)
-	srv := httptest.NewServer(servehttp.New(store, reg, servehttp.Options{
-		Admission: admit.New(admit.Config{
-			MaxInFlight: 16, Rate: 1, Burst: 1, Now: func() time.Time { return now },
-		}),
+	target := serveEdge(t, store, reg, admit.New(admit.Config{
+		MaxInFlight: 16, Rate: 1, Burst: 1, Now: func() time.Time { return now },
 	}))
-	t.Cleanup(srv.Close)
-	target := &HTTPTarget{BaseURL: srv.URL, CaptureBody: true}
 
 	res := target.Do(context.Background(), Op{Kind: OpRollup, Tenant: "a", Request: testWorkload.Query(OpRollup, 0)})
 	if !res.OK() || res.Resp == nil || len(res.Resp.Rows) == 0 {

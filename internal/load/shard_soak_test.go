@@ -65,7 +65,7 @@ func TestSoakShardedFailover(t *testing.T) {
 	for si := 0; si < shards; si++ {
 		coord.SetReplicaFault(si, 0, fault.New(fault.Config{Seed: int64(40 + si), ErrEvery: 3}))
 	}
-	target := &StoreTarget{Store: coord, Admission: admit.New(admit.Config{MaxInFlight: 32})}
+	target := serveEdge(t, coord, reg, admit.New(admit.Config{MaxInFlight: 32}))
 
 	var shed, failedOver atomic.Int64
 	for wave := 0; wave <= nAppends; wave++ {

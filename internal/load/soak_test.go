@@ -159,7 +159,7 @@ func TestSoakConcurrentQueriesAppendsCompaction(t *testing.T) {
 	defer stopCompact()
 	go store.CompactLoop(compactCtx)
 
-	target := &StoreTarget{Store: store, Admission: admit.New(admit.Config{MaxInFlight: 32})}
+	target := serveEdge(t, store, reg, admit.New(admit.Config{MaxInFlight: 32}))
 
 	// started/done bracket each append: a query issued at done=d and
 	// returning at started=s can observe any prefix in [d, s].

@@ -16,9 +16,9 @@ import (
 	"x3/internal/serve"
 )
 
-// Result is one completed operation as the harness saw it: an HTTP-style
-// status (both targets speak the same status vocabulary), the structured
-// error code when not OK, and the end-to-end latency.
+// Result is one completed operation as the harness saw it: the HTTP
+// status, the structured error code when not OK, and the end-to-end
+// latency.
 type Result struct {
 	// Status is the HTTP status code (200 OK, 429 over quota, 503 shed,
 	// 504 deadline, 400 bad request, 500 internal).
@@ -30,16 +30,18 @@ type Result struct {
 	RetryAfter time.Duration
 	// Latency is the end-to-end operation time, admission included.
 	Latency time.Duration
-	// Degraded is set when the answer came from a fallback path.
+	// Degraded is set when the answer came from a fallback path (only
+	// when HTTPTarget.CaptureBody is set).
 	Degraded bool
 	// Partial is set when a sharded backend answered without some fact
-	// partitions (the response names them in Missing).
+	// partitions (the response names them in Missing; only when
+	// HTTPTarget.CaptureBody is set).
 	Partial bool
 	// Backoffs counts 429-driven backoff-and-retry cycles this operation
 	// went through before completing (HTTPTarget with MaxBackoffs only).
 	Backoffs int
-	// Resp is the decoded answer for query operations (StoreTarget
-	// always; HTTPTarget only when CaptureBody is set).
+	// Resp is the decoded answer for query operations (only when
+	// HTTPTarget.CaptureBody is set).
 	Resp *serve.Response
 }
 
@@ -51,85 +53,13 @@ type Target interface {
 	Do(ctx context.Context, op Op) Result
 }
 
-// Backend is the in-process serving surface StoreTarget drives: a
-// single-node serve.Store or a sharded shard.Coordinator — the harness
-// is topology-blind, the way a client is.
-type Backend interface {
-	ServeRequest(ctx context.Context, req serve.Request) (*serve.Response, error)
-	Append(ctx context.Context, body []byte) (int64, error)
-}
-
-// StoreTarget drives a serving backend in-process through the same
-// admission and status mapping as the HTTP edge in internal/servehttp,
-// so in-process benchmark numbers transfer to the wire: a shed is a 503,
-// an over-quota refusal a 429 with the bucket's Retry-After, a bad
-// request a 400.
-type StoreTarget struct {
-	Store Backend
-	// Admission admits or sheds (nil disables, as at the edge).
-	Admission *admit.Controller
-}
-
-// classFor mirrors servehttp's route classification: appends are
-// Background, queries Interactive.
+// classFor is the priority class HTTPTarget sends in the X3-Priority
+// header: appends are Background, queries Interactive.
 func classFor(kind OpKind) admit.Class {
 	if kind == OpAppend {
 		return admit.Background
 	}
 	return admit.Interactive
-}
-
-// Do implements Target.
-func (t *StoreTarget) Do(ctx context.Context, op Op) Result {
-	start := time.Now()
-	if t.Admission != nil {
-		release, err := t.Admission.Admit(op.Tenant, classFor(op.Kind))
-		if err != nil {
-			return refusalResult(err, time.Since(start))
-		}
-		defer release()
-	}
-	var res Result
-	if op.Kind == OpAppend {
-		_, err := t.Store.Append(ctx, op.Body)
-		res = errorResult(err)
-	} else {
-		resp, err := t.Store.ServeRequest(ctx, op.Request)
-		res = errorResult(err)
-		if err == nil {
-			res.Resp = resp
-			res.Degraded = resp.Degraded
-			res.Partial = resp.Partial
-		}
-	}
-	res.Latency = time.Since(start)
-	return res
-}
-
-// refusalResult maps an admission refusal to its wire form.
-func refusalResult(err error, lat time.Duration) Result {
-	var qe *admit.QuotaError
-	if errors.As(err, &qe) {
-		return Result{Status: http.StatusTooManyRequests, Code: "over_quota", RetryAfter: qe.RetryAfter, Latency: lat}
-	}
-	return Result{Status: http.StatusServiceUnavailable, Code: "shed", RetryAfter: time.Second, Latency: lat}
-}
-
-// errorResult maps a store error to the status and code servehttp.Error
-// would emit for it.
-func errorResult(err error) Result {
-	switch {
-	case err == nil:
-		return Result{Status: http.StatusOK}
-	case errors.Is(err, serve.ErrBadRequest):
-		return Result{Status: http.StatusBadRequest, Code: "bad_request"}
-	case errors.Is(err, context.DeadlineExceeded):
-		return Result{Status: http.StatusGatewayTimeout, Code: "deadline"}
-	case errors.Is(err, context.Canceled):
-		return Result{Status: http.StatusServiceUnavailable, Code: "cancelled"}
-	default:
-		return Result{Status: http.StatusInternalServerError, Code: "internal"}
-	}
 }
 
 // HTTPTarget drives a live x3serve over the wire, labelling requests

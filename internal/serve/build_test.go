@@ -204,7 +204,7 @@ func TestBuildRejectsDuplicateCell(t *testing.T) {
 	lat, set, _ := treebankWorkload(t, 1, 20, mixedAxes())
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cube.x3ci")
-	s := newStore(path, lat, set, nil, false, Options{})
+	s := newStore(path, lat, set, Options{})
 	sink := cellfile.CreateIndexed(path)
 	defer sink.Abort()
 	top := lat.Points()[0]

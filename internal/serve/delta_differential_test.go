@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"x3/internal/cube"
@@ -63,6 +64,27 @@ func ladderDatasets() []ladderDataset {
 				return dataset.DBLP(cfg)
 			},
 		},
+		{
+			// Clean axes at build; every appended document repeats axis 2,
+			// so the first append flips its disjointness and the roll-ups
+			// that relied on it must turn into base recomputes.
+			name:  "flip",
+			views: 1,
+			lat: func(tb testing.TB) *lattice.Lattice {
+				lat, err := lattice.New(dataset.TreebankQuery(cleanAxes(3)))
+				if err != nil {
+					tb.Fatal(err)
+				}
+				return lat
+			},
+			doc: func(seed int64) *xmltree.Document {
+				axes := cleanAxes(3)
+				if seed >= 1000 {
+					axes[2].PRepeat = 0.5
+				}
+				return dataset.Treebank(dataset.TreebankConfig{Seed: seed, Facts: 40, Axes: axes})
+			},
+		},
 	}
 }
 
@@ -114,11 +136,22 @@ func (o *ladderOracle) result(tb testing.TB) *cube.Result {
 	return res
 }
 
-// sweepLadder asserts every cuboid of the lattice, whole and under its
-// pinned queries, against the oracle and adds the whole answers' plans
+// sweepLadder asserts that the store plans with exactly the properties
+// its facts show, then every cuboid of the lattice, whole and under its
+// pinned queries, against the oracle, and adds the whole answers' plans
 // to plans.
 func sweepLadder(tb testing.TB, s *Store, oracle *cube.Result, plans map[PlanKind]int) {
 	tb.Helper()
+	s.mu.RLock()
+	props := s.props
+	want, err := cube.MeasureProps(s.lat, s.base)
+	s.mu.RUnlock()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !reflect.DeepEqual(props, want) {
+		tb.Fatalf("store properties %+v, its facts measure %+v", *props, *want)
+	}
 	for _, p := range s.lat.Points() {
 		plans[assertCuboidMatchesOracle(tb, s, oracle, p)]++
 		assertPinnedMatchOracle(tb, s, oracle, p)

@@ -59,7 +59,7 @@ func BuildDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	path := filepath.Join(dir, genName("base", 0))
-	s := newStore(path, lat, base, opt.Props, opt.Props == nil, opt)
+	s := newStore(path, lat, base, opt)
 	sink, keep, err := s.computeCube(opt)
 	if err != nil {
 		return nil, err
@@ -114,7 +114,7 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 	}
 	sweepOrphans(dir, man)
 
-	s := newStore(filepath.Join(dir, man.Base), lat, base, opt.Props, opt.Props == nil, opt)
+	s := newStore(filepath.Join(dir, man.Base), lat, base, opt)
 	s.initLadder(dir, man, opt)
 
 	rdr, err := s.openGen(s.path)
@@ -176,13 +176,9 @@ func OpenDir(dir string, lat *lattice.Lattice, base *match.Set, opt Options) (*S
 	}
 	s.base = set
 
-	if s.measured {
-		props, err := cube.MeasureProps(lat, s.base)
-		if err != nil {
-			s.closeReaders()
-			return nil, err
-		}
-		s.props = props
+	if s.props, err = cube.MeasureProps(lat, s.base); err != nil {
+		s.closeReaders()
+		return nil, err
 	}
 
 	w, err := wal.OpenAppend(walPath, wal.Options{Fault: opt.Fault, Registry: opt.Registry})
@@ -266,7 +262,7 @@ type staged struct {
 	body  []byte
 	delta *match.Set
 	base  *match.Set
-	props cube.Props
+	props *cube.MeasuredProps
 }
 
 // stage parses and evaluates an appended document in O(document): the
@@ -291,7 +287,7 @@ func (s *Store) stage(body []byte) (*staged, error) {
 	if err != nil {
 		return nil, err
 	}
-	props, err := s.absorbProps(delta)
+	props, err := s.props.Absorb(delta)
 	if err != nil {
 		return nil, err
 	}

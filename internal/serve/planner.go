@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -109,7 +110,7 @@ func (s *Store) answer(ctx context.Context, q Query, none bool, start time.Time)
 	live := s.lat.LiveAxes(q.Point)
 	// Ascending axis order, not map order: when several constrained axes
 	// are dead at this point, every run must reject the same one.
-	for _, a := range sortedWhereAxes(q.Where) {
+	for _, a := range slices.Sorted(maps.Keys(q.Where)) {
 		if !slices.Contains(live, a) {
 			return nil, fmt.Errorf("%w: axis %d is not live at %s", ErrBadRequest, a, s.lat.Label(q.Point))
 		}
@@ -463,15 +464,4 @@ func Fold[T any](rows []T, cmp func(a, b T) int, state func(*T) *agg.State) []T 
 		out = append(out, rows[i])
 	}
 	return out
-}
-
-// sortedWhereAxes returns a Where clause's axes in ascending order, so
-// validation decisions never depend on map iteration order.
-func sortedWhereAxes(where map[int]match.ValueID) []int {
-	axes := make([]int, 0, len(where))
-	for a := range where { //x3:nolint(detiter) axes are sorted below before anything observes the order
-		axes = append(axes, a)
-	}
-	sort.Ints(axes)
-	return axes
 }

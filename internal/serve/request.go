@@ -3,8 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"time"
 
 	"x3/internal/agg"
@@ -82,61 +82,6 @@ type CellAnswer struct {
 	Rows     []CellRow
 }
 
-// PointFromStates resolves axis-variable → state-label assignments to a
-// lattice point; omitted axes default to their most relaxed state.
-func (s *Store) PointFromStates(states map[string]string) (lattice.Point, error) {
-	lat := s.lat
-	p := lat.Bottom()
-	used := map[string]bool{}
-	for a, lad := range lat.Ladders {
-		want, ok := states[lad.Spec.Var]
-		if !ok {
-			continue
-		}
-		used[lad.Spec.Var] = true
-		found := false
-		for si, st := range lad.States {
-			if strings.EqualFold(st.Label, want) {
-				p[a] = uint8(si)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("serve: axis %s has no state %q", lad.Spec.Var, want)
-		}
-	}
-	// Sorted order, not map order: when several assignments name unknown
-	// axes, every run must reject the same one.
-	for _, v := range sortedVars(states) {
-		if !used[v] {
-			return nil, fmt.Errorf("serve: query has no axis %q", v)
-		}
-	}
-	return p, nil
-}
-
-// sortedVars returns a string map's keys in sorted order, so request
-// validation and resolution never depend on map iteration order.
-func sortedVars(m map[string]string) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m { //x3:nolint(detiter) keys are sorted below before anything observes the order
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// axisByVar returns the axis index of a grouping variable.
-func (s *Store) axisByVar(v string) (int, error) {
-	for a, lad := range s.lat.Ladders {
-		if lad.Spec.Var == v {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: query has no axis %q", v)
-}
-
 // AnswerCells resolves a wire-level request and answers it under ctx in
 // mergeable form: decoded group values plus raw aggregate states. It
 // resolves, plans, executes and decodes under one hold of the store's
@@ -147,7 +92,7 @@ func (s *Store) axisByVar(v string) (int, error) {
 // unknown axes, unknown states, constraints on deleted axes — wrap
 // ErrBadRequest.
 func (s *Store) AnswerCells(ctx context.Context, req Request) (*CellAnswer, error) {
-	p, err := s.PointFromStates(req.Cuboid)
+	p, err := s.lat.PointFromStates(req.Cuboid)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
@@ -181,8 +126,8 @@ func (s *Store) resolveWhere(p lattice.Point, where map[string]string) (map[int]
 	unseen := false
 	// Sorted order, not map order: the first resolution failure is the
 	// one the client sees, so it must be the same every run.
-	for _, v := range sortedVars(where) {
-		a, err := s.axisByVar(v)
+	for _, v := range slices.Sorted(maps.Keys(where)) {
+		a, err := s.lat.AxisByVar(v)
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: %w", ErrBadRequest, err)
 		}

@@ -1,7 +1,10 @@
 // Package serve is the materialized-cube serving layer: it turns a
 // computed relaxed cube into an answerable store. A Store owns indexed
 // cell files (internal/cellfile) holding the materialized cuboids, the
-// base fact table, and the summarizability properties; a query planner
+// base fact table, and the summarizability properties measured from
+// those facts — at Build, BuildDir and OpenDir, then kept exact under
+// every append in O(delta), so no roll-up relies on a property the data
+// lacks; a query planner
 // (planner.go) answers point, slice and roll-up queries by routing each
 // target cuboid to the cheapest materialized cuboid it can be *safely*
 // derived from — the §3.2/§3.7 safe-relaxation rule (cube.PathSafe)
@@ -28,11 +31,12 @@
 // (publish) and swapped in under the store lock, so queries run
 // concurrently with maintenance.
 //
-// Both builds take one route from algorithm to disk: the cube algorithm
-// computes into a cellfile.IndexedSink, which sorts its cells (spilling
-// sorted runs past a bound); view or budget selection reads per-cuboid
-// cell counts and encoded sizes off that sorted stream (selectKeep); and
-// publish writes the kept cuboids as the base generation.
+// Both builds take one route from algorithm to disk: COUNTER, exact on
+// any data, computes the cube into a cellfile.IndexedSink, which sorts
+// its cells (spilling sorted runs past a bound); view or budget
+// selection reads per-cuboid cell counts and encoded sizes off that
+// sorted stream (selectKeep); and publish writes the kept cuboids as the
+// base generation.
 package serve
 
 import (
@@ -52,10 +56,12 @@ import (
 	"x3/internal/wal"
 )
 
-// Options configure Build.
+// Options configure Build, BuildDir and OpenDir. A store takes no
+// algorithm and no summarizability properties: every build computes its
+// cube with COUNTER, and every store measures its properties from its
+// own facts and keeps them exact under appends, so no option can make
+// the planner roll up across an edge the data does not make safe.
 type Options struct {
-	// Algorithm computes the initial cube (default COUNTER).
-	Algorithm string
 	// Views > 0 materializes at most that many cuboids, picked by the
 	// cost model's greedy selection (internal/costmodel) with every
 	// cuboid weighing one unit of budget, under the store's safety
@@ -79,9 +85,6 @@ type Options struct {
 	// BlockCells overrides the indexed file's block granularity
 	// (0 = cellfile.DefaultBlockCells).
 	BlockCells int
-	// Props certifies summarizability; nil measures the properties from
-	// the base facts once and folds every append's new facts into them.
-	Props cube.Props
 	// Registry receives the serve.* counters and latency histograms; nil
 	// disables observability.
 	Registry *obs.Registry
@@ -153,9 +156,10 @@ type Store struct {
 	// slice grows past the length readers hold (they never read the
 	// tail), and the dictionaries gain values only in commit, under
 	// refreshMu plus mu.Lock. Readers touch dictionaries under mu.RLock.
-	base      *match.Set
-	props     cube.Props
-	measured  bool // props are data-measured: absorb each append's facts
+	base *match.Set
+	// props are measured from base at open and absorb every append's
+	// facts, so they are exact for the facts the store holds.
+	props     *cube.MeasuredProps
 	decisions []costmodel.Decision
 }
 
@@ -164,7 +168,7 @@ type Store struct {
 // Iceberg queries (HAVING >= n) are refused: their discarded cells make
 // both roll-up serving and maintenance unsound.
 func Build(path string, lat *lattice.Lattice, base *match.Set, opt Options) (*Store, error) {
-	s := newStore(path, lat, base, opt.Props, opt.Props == nil, opt)
+	s := newStore(path, lat, base, opt)
 	sink, keep, err := s.computeCube(opt)
 	if err != nil {
 		return nil, err
@@ -181,32 +185,24 @@ func Build(path string, lat *lattice.Lattice, base *match.Set, opt Options) (*St
 }
 
 // computeCube runs the initial cube computation shared by Build and
-// BuildDir: resolve the algorithm, measure the summarizability
-// properties unless they are certified, compute the full cube into a
-// sorted sink that spills its runs beside s.path, and pick the
-// materialized point set (selectKeep). The caller publishes the sink's
-// cells (emitBase) and then aborts it. Iceberg queries are refused here.
+// BuildDir: measure the summarizability properties, compute the full
+// cube with COUNTER — exact on any data — into a sorted sink that spills
+// its runs beside s.path, and pick the materialized point set
+// (selectKeep). The caller publishes the sink's cells (emitBase) and
+// then aborts it. Iceberg queries are refused here.
 func (s *Store) computeCube(opt Options) (*cellfile.IndexedSink, map[uint32]bool, error) {
 	if s.lat.Query.MinSupport > 1 {
 		return nil, nil, fmt.Errorf("serve: cannot serve an iceberg cube (HAVING >= %d)", s.lat.Query.MinSupport)
 	}
-	if opt.Algorithm == "" {
-		opt.Algorithm = "COUNTER"
-	}
-	alg, err := cube.ByName(opt.Algorithm)
-	if err != nil {
+	var err error
+	if s.props, err = cube.MeasureProps(s.lat, s.base); err != nil {
 		return nil, nil, err
-	}
-	if s.measured {
-		if s.props, err = cube.MeasureProps(s.lat, s.base); err != nil {
-			return nil, nil, err
-		}
 	}
 	sink := cellfile.CreateIndexed(s.path)
 	sink.BlockCells, sink.Fault = opt.BlockCells, opt.Fault
-	in := &cube.Input{Lattice: s.lat, Source: s.base, Dicts: s.base.Dicts, Props: s.props, Reg: opt.Registry}
+	in := &cube.Input{Lattice: s.lat, Source: s.base, Dicts: s.base.Dicts, Reg: opt.Registry}
 	var keep map[uint32]bool
-	if _, err = alg.Run(in, sink); err == nil {
+	if _, err = (cube.Counter{}).Run(in, sink); err == nil {
 		keep, s.decisions, err = selectKeep(s.lat, s.props, sink, s.base.NumFacts(), opt)
 	}
 	if err != nil {
@@ -217,7 +213,7 @@ func (s *Store) computeCube(opt Options) (*cellfile.IndexedSink, map[uint32]bool
 }
 
 // newStore assembles the Store fields common to every open path.
-func newStore(path string, lat *lattice.Lattice, base *match.Set, props cube.Props, measured bool, opt Options) *Store {
+func newStore(path string, lat *lattice.Lattice, base *match.Set, opt Options) *Store {
 	s := &Store{
 		path:        path,
 		lat:         lat,
@@ -229,8 +225,6 @@ func newStore(path string, lat *lattice.Lattice, base *match.Set, props cube.Pro
 		spaceBudget: opt.SpaceBudget,
 		qcounts:     make([]int64, lat.Size()),
 		base:        base,
-		props:       props,
-		measured:    measured,
 	}
 	if opt.CacheBytes >= 0 {
 		budget := opt.CacheBytes
@@ -423,19 +417,4 @@ func (s *Store) Close() error {
 		}
 	}
 	return err
-}
-
-// absorbProps returns the properties that hold once delta's facts join
-// the store: measured properties are ANDed with what delta shows, in
-// O(delta) (cube.MeasuredProps.Absorb); certified ones stand as given.
-func (s *Store) absorbProps(delta *match.Set) (cube.Props, error) {
-	mp, ok := s.props.(*cube.MeasuredProps)
-	if !s.measured || !ok {
-		return s.props, nil
-	}
-	next, err := mp.Absorb(delta)
-	if err != nil {
-		return nil, err
-	}
-	return next, nil
 }

@@ -306,7 +306,7 @@ func TestLeadingPinReadsAtMostTwoBlocks(t *testing.T) {
 		reg := obs.New()
 		s := st.build(Options{Registry: reg, CacheBytes: -1})
 		defer s.Close()
-		au, err := s.axisByVar("$au")
+		au, err := s.lat.AxisByVar("$au")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestLeadingPinReadsAtMostTwoBlocks(t *testing.T) {
 					states[v] = "rigid"
 				}
 			}
-			p, err := s.PointFromStates(states)
+			p, err := s.lat.PointFromStates(states)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,31 +59,9 @@ func (r *CubeResult) Stats() cube.Stats { return r.stats }
 // per axis variable, e.g. {"$n": "SP", "$p": "rigid", "$y": "LND"}. Omitted
 // axes default to their most relaxed state.
 func (r *CubeResult) Cuboid(states map[string]string) (*Cuboid, error) {
-	lat := r.res.Lattice
-	p := lat.Bottom()
-	used := map[string]bool{}
-	for a, lad := range lat.Ladders {
-		want, ok := states[lad.Spec.Var]
-		if !ok {
-			continue
-		}
-		used[lad.Spec.Var] = true
-		found := false
-		for si, s := range lad.States {
-			if strings.EqualFold(s.Label, want) {
-				p[a] = uint8(si)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("x3: axis %s has no state %q", lad.Spec.Var, want)
-		}
-	}
-	for v := range states {
-		if !used[v] {
-			return nil, fmt.Errorf("x3: query has no axis %q", v)
-		}
+	p, err := r.res.Lattice.PointFromStates(states)
+	if err != nil {
+		return nil, err
 	}
 	return &Cuboid{res: r.res, point: p}, nil
 }

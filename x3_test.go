@@ -142,6 +142,14 @@ func TestCuboidErrors(t *testing.T) {
 	if _, err := res.Cuboid(map[string]string{"$zz": "rigid"}); err == nil {
 		t.Error("unknown axis accepted")
 	}
+	// Two unknown axes: every call reports the same one, whatever the
+	// map's iteration order.
+	for range 50 {
+		_, err := res.Cuboid(map[string]string{"$zz": "rigid", "$aa": "rigid"})
+		if err == nil || !strings.Contains(err.Error(), `"$aa"`) {
+			t.Fatalf("two unknown axes: %v, want $aa reported", err)
+		}
+	}
 }
 
 func TestAllAlgorithmsAgreeViaFacade(t *testing.T) {
