@@ -30,7 +30,7 @@ test: fuzz-replay
 # modules (the lint suite's own cheap regression) — no fuzzing engine, so
 # it is cheap enough to ride inside `make test`.
 fuzz-replay:
-	$(GO) test -run '^Fuzz' ./internal/cellfile/ ./internal/pattern/ ./internal/schema/ ./internal/store/ ./internal/wal/ ./internal/xmltree/ ./internal/xq/
+	$(GO) test -run '^Fuzz' ./internal/cellfile/ ./internal/extsort/ ./internal/matchfile/ ./internal/pattern/ ./internal/schema/ ./internal/store/ ./internal/wal/ ./internal/xmltree/ ./internal/xq/
 	$(GO) test -run 'Fixture' ./internal/lint/
 
 # The concurrent pieces — the shared worker pool behind BUCPAR/TDPAR, the
@@ -45,11 +45,14 @@ race:
 	$(GO) test -race ./internal/cellfile/... ./internal/cube/... ./internal/extsort/... ./internal/harness/... ./internal/match/... ./internal/mem/... ./internal/sjoin/... ./internal/store/... ./internal/obs/... ./internal/serve/... ./internal/admit/... ./internal/servehttp/... ./internal/load/... ./internal/shard/... ./cmd/x3serve/
 
 # Short fuzz smoke of the query parser, the cell-file readers, the
-# store's meta page and the write-ahead log (the CI-sized budget).
+# match-file decoder, the in-memory row sort, the store's meta page and
+# the write-ahead log (the CI-sized budget).
 fuzz:
 	$(GO) test ./internal/xq/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/cellfile/ -fuzz FuzzCellfile -fuzztime 30s
 	$(GO) test ./internal/cellfile/ -fuzz FuzzColumnarBlock -fuzztime 30s
+	$(GO) test ./internal/matchfile/ -fuzz FuzzMatchfile -fuzztime 30s
+	$(GO) test ./internal/extsort/ -fuzz FuzzSortRows -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreMeta -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzWAL -fuzztime 30s
 

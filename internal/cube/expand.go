@@ -141,7 +141,7 @@ func scanGroups(it *extsort.Iterator, k int, withID bool, emit func(key []byte, 
 }
 
 // sortLimit picks the sort buffer cap from the budget: unlimited budgets
-// never spill (pure in-memory quicksort). Bounded budgets divide memory
+// never spill (one in-memory sort). Bounded budgets divide memory
 // among the cuboids, the way PartitionCube keeps partition runs for every
 // group-by in flight at once — so sorts turn external exactly when the
 // cuboid count grows, reproducing the paper's "exponential number of

@@ -64,7 +64,8 @@ func BenchmarkSort(b *testing.B) {
 	}
 }
 
-// BenchmarkSortRowsInPlace measures the raw quicksort used by BUCOPT.
+// BenchmarkSortRowsInPlace measures the in-place radix sort alone, the
+// in-memory sort of every run.
 func BenchmarkSortRowsInPlace(b *testing.B) {
 	for _, width := range []int{8, 40} {
 		rows := benchRows(20_000, width, 3)
@@ -76,7 +77,7 @@ func BenchmarkSortRowsInPlace(b *testing.B) {
 			buf := make([]byte, len(flat))
 			for i := 0; i < b.N; i++ {
 				copy(buf, flat)
-				SortRows(buf, width)
+				sortRows(buf, width)
 			}
 		})
 	}

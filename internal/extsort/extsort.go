@@ -1,5 +1,6 @@
 // Package extsort sorts fixed-width byte rows under a memory limit, the
-// way the paper's cube implementations do: quicksort for in-memory sorts,
+// way the paper's cube implementations do: an in-memory sort of each
+// buffer (an in-place radix sort here, where the paper used quicksort),
 // external merge sort (run generation + k-way merge) when the data
 // outgrows the buffer (§4).
 //
@@ -21,11 +22,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"x3/internal/fault"
@@ -430,33 +431,106 @@ func (rr *runReader) closeFile() {
 	}
 }
 
-// sortRows quicksorts the rows of buf (fixed width) in place by raw byte
-// order — the in-memory sort of the paper's implementation.
+// sortRows sorts the rows of buf (fixed width) in place by raw byte order,
+// the in-memory sort of every run and every unspilled sort. It is an MSD
+// radix sort that permutes in place (American flag sort): one counting
+// pass per byte position splits a range into 256 buckets, rows move to
+// their buckets by swaps, and each bucket of more than one row recurses on
+// the next byte. A range whose rows all share the current byte descends
+// without moving anything (small big-endian IDs lead with zero bytes), and
+// ranges of at most insertionRows rows finish by insertion sort. The order
+// is the rows' full bytes, a total order, so the output is the one any
+// correct sort gives. Scratch is one row plus two 256-entry tables per
+// recursion level, none of it proportional to the row count.
 func sortRows(buf []byte, width int) {
-	if width <= 0 || len(buf) == 0 {
+	if width <= 0 || len(buf) < 2*width {
 		return
 	}
-	sort.Sort(&rowSlice{buf: buf, w: width, tmp: make([]byte, width)})
+	radixSort(buf, width, 0, make([]byte, width))
 }
 
-// SortRows exposes sortRows for callers (BUCOPT partitions slices of its
-// fact table in place).
-func SortRows(buf []byte, width int) { sortRows(buf, width) }
+// insertionRows is the largest range sortRows finishes by insertion sort.
+const insertionRows = 24
 
-type rowSlice struct {
-	buf []byte
-	w   int
-	tmp []byte
+// radixSort sorts buf's rows, which agree on their first depth bytes.
+func radixSort(buf []byte, w, depth int, tmp []byte) {
+	n := len(buf) / w
+	if n <= insertionRows {
+		insertionSort(buf, w, depth, tmp)
+		return
+	}
+	var next, end [256]int // row index of each bucket's next unplaced row, and its end
+	for {
+		for i := depth; i < len(buf); i += w {
+			end[buf[i]]++
+		}
+		if end[buf[depth]] != n {
+			break
+		}
+		// One bucket holds every row: nothing moves at this byte.
+		end[buf[depth]] = 0
+		if depth++; depth == w {
+			return
+		}
+	}
+	sum := 0
+	for b, c := range end {
+		next[b] = sum
+		sum += c
+		end[b] = sum
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			i := next[b]
+			d := buf[i*w+depth]
+			if int(d) == b {
+				next[b]++
+				continue
+			}
+			swapRows(buf[i*w:(i+1)*w], buf[next[d]*w:(next[d]+1)*w])
+			next[d]++
+		}
+	}
+	if depth+1 == w {
+		return
+	}
+	start := 0
+	for _, stop := range end {
+		if stop-start > 1 {
+			radixSort(buf[start*w:stop*w], w, depth+1, tmp)
+		}
+		start = stop
+	}
 }
 
-func (r *rowSlice) Len() int { return len(r.buf) / r.w }
-func (r *rowSlice) Less(i, j int) bool {
-	return bytes.Compare(r.buf[i*r.w:(i+1)*r.w], r.buf[j*r.w:(j+1)*r.w]) < 0
+// swapRows exchanges two equal-width rows, eight bytes at a time.
+func swapRows(a, b []byte) {
+	b = b[:len(a)]
+	k := 0
+	for ; k+8 <= len(a); k += 8 {
+		x := binary.LittleEndian.Uint64(a[k:])
+		binary.LittleEndian.PutUint64(a[k:], binary.LittleEndian.Uint64(b[k:]))
+		binary.LittleEndian.PutUint64(b[k:], x)
+	}
+	for ; k < len(a); k++ {
+		a[k], b[k] = b[k], a[k]
+	}
 }
-func (r *rowSlice) Swap(i, j int) {
-	a := r.buf[i*r.w : (i+1)*r.w]
-	b := r.buf[j*r.w : (j+1)*r.w]
-	copy(r.tmp, a)
-	copy(a, b)
-	copy(b, r.tmp)
+
+// insertionSort sorts buf's rows, which agree on their first depth bytes:
+// each row goes to tmp, the larger rows before it shift up one row in a
+// single copy, and the row lands in the gap.
+func insertionSort(buf []byte, w, depth int, tmp []byte) {
+	for i := w; i < len(buf); i += w {
+		j := i
+		for j > 0 && bytes.Compare(buf[j-w+depth:j], buf[i+depth:i+w]) > 0 {
+			j -= w
+		}
+		if j == i {
+			continue
+		}
+		copy(tmp, buf[i:i+w])
+		copy(buf[j+w:i+w], buf[j:i])
+		copy(buf[j:j+w], tmp)
+	}
 }

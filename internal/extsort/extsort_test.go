@@ -155,14 +155,14 @@ func TestAddErrors(t *testing.T) {
 
 func TestSortRowsInPlace(t *testing.T) {
 	buf := []byte{9, 9, 3, 3, 1, 1, 5, 5}
-	SortRows(buf, 2)
+	sortRows(buf, 2)
 	want := []byte{1, 1, 3, 3, 5, 5, 9, 9}
 	if !bytes.Equal(buf, want) {
-		t.Fatalf("SortRows = %v", buf)
+		t.Fatalf("sortRows = %v", buf)
 	}
 	// Zero width and empty buffers are no-ops, not panics.
-	SortRows(nil, 4)
-	SortRows([]byte{1}, 0)
+	sortRows(nil, 4)
+	sortRows([]byte{1}, 0)
 }
 
 func TestPropertySortedPermutation(t *testing.T) {

@@ -43,7 +43,7 @@ for $b in doc("book.xml")//publication,
 X^3 $b/@id by $n (LND, SP, PC-AD), $p (LND, PC-AD), $y (LND)
 return COUNT($b).`
 
-func buildSet(t *testing.T) *match.Set {
+func buildSet(t testing.TB) *match.Set {
 	t.Helper()
 	doc, err := xmltree.ParseString(paperXML)
 	if err != nil {
